@@ -47,6 +47,10 @@ PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 #: Registered backends, slowest floor first.
 BACKENDS: Tuple[str, ...] = ("pure", "numpy", "native")
 
+#: The ``_native.ABI_VERSION`` this package's glue speaks.  An
+#: extension built from an older ``_native.c`` counts as unbuilt.
+NATIVE_ABI_VERSION = 4
+
 _active: Optional[str] = None
 _warned_native_missing = False
 _native_module = False  # sentinel: not probed yet
@@ -62,7 +66,9 @@ def native_module():
     """The compiled kernel extension module, or None when unbuilt.
 
     Probed once per process; build it in a source checkout with
-    ``python -m repro.kernels.build`` (or install a binary wheel).
+    ``python -m repro.kernels.build`` (or install a binary wheel).  A
+    stale build (``ABI_VERSION`` other than :data:`NATIVE_ABI_VERSION`)
+    is treated as unbuilt, with one warning naming the rebuild command.
     """
     global _native_module
     if _native_module is False:
@@ -71,7 +77,19 @@ def native_module():
         except ImportError:
             _native_module = None
         else:
-            _native_module = _native
+            found = getattr(_native, "ABI_VERSION", None)
+            if found == NATIVE_ABI_VERSION:
+                _native_module = _native
+            else:
+                _native_module = None
+                warnings.warn(
+                    f"the compiled kernel extension speaks ABI {found}, "
+                    f"this package expects {NATIVE_ABI_VERSION}; "
+                    "ignoring it (Python tiers only).  Rebuild it with "
+                    "`python -m repro.kernels.build`.",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     return _native_module
 
 

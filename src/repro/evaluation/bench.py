@@ -107,10 +107,13 @@ QUICK_REFERENCES = 8_000
 #: the extension is built; the ``_native`` twins (plus the
 #: ``pre_native_baseline`` block) document the compiled tier's
 #: speedup on the same machine in the same run.  One twin per
-#: compiled kernel: the five fused policy replays, both timing
-#: passes, and the 64-node scaling entry (which exercises the
-#: two-word destination-mask envelope).
+#: compiled kernel: the directory and broadcast-snooping protocol
+#: modes, the fused policy replays, both timing passes, and the
+#: 64-node scaling entry (which exercises the two-word
+#: destination-mask envelope).
 NATIVE_BENCH_ENTRIES = (
+    "protocol_directory",
+    "protocol_snooping",
     "protocol_multicast_group",
     "protocol_multicast_owner",
     "protocol_multicast_bifs",

@@ -33,6 +33,10 @@ are mutated in place to the exact values the Python loops produce.
   policies: Owner, Broadcast-if-shared, Owner-group, Sticky-spatial
   (:func:`repro.protocols.fused.run_kernel` with each policy's
   ``fused_kernel`` closures);
+- ``baseline_replay`` — the directory and broadcast-snooping replays
+  (``DirectoryProtocol`` / ``BroadcastSnoopingProtocol._handle_fast``)
+  as two protocol modes of the same ``policy_replay`` kernel, which
+  round-trip only the MOSI block map;
 - ``collector`` — the chunk-consuming cache/MOSI filter
   (:meth:`repro.cache.pipeline.TraceCollector.process_chunk`),
   session-based so cache state stays native across chunks;
@@ -146,6 +150,21 @@ def try_policy_replay(proto, trace, out=None) -> bool:
     from repro.kernels import native
 
     return native.policy_replay(proto, trace, out)
+
+
+def try_baseline_replay(proto, trace, out=None) -> bool:
+    """Run a directory or broadcast-snooping replay natively; False ->
+    caller falls back to its ``_handle_fast`` loop.
+
+    Callers have already established that the protocol's
+    ``_handle_fast`` is the stock one; this adds the shared replay
+    envelope checks and the MOSI-state round-trip.
+    """
+    if not _backend.native_active():
+        return False
+    from repro.kernels import native
+
+    return native.baseline_replay(proto, trace, out)
 
 
 def try_timing_pass(simulator, measured, out) -> bool:

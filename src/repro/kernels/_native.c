@@ -4,7 +4,10 @@
  *   policy_replay        — mirror of repro.protocols.fused.run_group /
  *                          run_kernel for the five compiled policies
  *                          (Group, Owner, Broadcast-if-shared,
- *                          Owner-group, Sticky-spatial)
+ *                          Owner-group, Sticky-spatial), plus two
+ *                          protocol modes on the same MOSI core for
+ *                          the baselines (DirectoryProtocol and
+ *                          BroadcastSnoopingProtocol._handle_fast)
  *   timing_pass          — mirror of TimingSimulator._timing_pass_simple
  *   timing_pass_detailed — the same crossbar pass with the detailed
  *                          (bounded-outstanding-miss) processor model
@@ -319,6 +322,17 @@ popcount128(uint64_t lo, uint64_t hi)
     return (int64_t)(__builtin_popcountll(lo) + __builtin_popcountll(hi));
 }
 
+/* True when the mask names only nodes below n_nodes (1..128). */
+static inline int
+mask128_fits(uint64_t lo, uint64_t hi, int n_nodes)
+{
+    if (n_nodes >= 128)
+        return 1;
+    if (n_nodes > 64)
+        return (hi >> (n_nodes - 64)) == 0;
+    return hi == 0 && (n_nodes == 64 || (lo >> n_nodes) == 0);
+}
+
 /* Python's floored %, for sticky-spatial neighbour indexes which can
  * be -1 (m is always > 0 here). */
 static inline int64_t
@@ -566,7 +580,8 @@ done:
 
 /* ------------------------------------------------------------------ */
 /* policy_replay: mirror of repro.protocols.fused.run_group /          */
-/* run_kernel for the five compiled predictor policies.                */
+/* run_kernel for the five compiled predictor policies, and of the     */
+/* directory / broadcast-snooping _handle_fast loops.                  */
 /* ------------------------------------------------------------------ */
 
 /* Entry payload kinds for the shared PredictorTable pool. */
@@ -1158,6 +1173,8 @@ mosi_load(I64Map *m, PyObject *state, int n_nodes, int allow_wide)
             return 1;
         if (!allow_wide && (sh_hi != 0 || sh_lo > (uint64_t)INT64_MAX))
             return 1;
+        if (!mask128_fits(sh_lo, sh_hi, n_nodes))
+            return 1; /* a sharer outside the machine */
         if (map_put3(m, block, owner, (int64_t)sh_lo, (int64_t)sh_hi) < 0) {
             PyErr_NoMemory();
             return -1;
@@ -1237,12 +1254,18 @@ group_train(GTable *t, int32_t e, int32_t node, int n_nodes, int32_t cmax,
     }
 }
 
-/* The compiled policy ids, mirrored in repro/kernels/native.py. */
+/* The compiled policy ids, mirrored in repro/kernels/native.py.  The
+ * two protocol modes replay the baselines: they load and sync only the
+ * MOSI block map, never predictor tables.  Snooping is the multicast
+ * accounting with the destination set forced to every node; directory
+ * has its own accounting branch (home request + forwards). */
 #define POLICY_GROUP 0
 #define POLICY_OWNER 1
 #define POLICY_BIFS 2
 #define POLICY_OWNER_GROUP 3
 #define POLICY_STICKY 4
+#define POLICY_DIRECTORY 5
+#define POLICY_SNOOPING 6
 
 /* The fused external-training flush (FusedKernel.train_external) for
  * one pending batch, iterating set bits lowest-first across the two
@@ -1563,8 +1586,10 @@ policy_replay(PyObject *self, PyObject *args)
     int ok = addr_b.len == nrec * (Py_ssize_t)sizeof(int64_t)
              && pc_b.len == nrec * (Py_ssize_t)sizeof(int64_t)
              && acc_b.len == nrec && n_nodes > 0 && n_nodes <= 128
-             && policy >= POLICY_GROUP && policy <= POLICY_STICKY;
-    if (ok) {
+             && policy >= POLICY_GROUP && policy <= POLICY_SNOOPING;
+    const int baseline =
+        policy == POLICY_DIRECTORY || policy == POLICY_SNOOPING;
+    if (ok && !baseline) {
         if (policy == POLICY_STICKY)
             ok = PyList_CheckExact(sticky_obj)
                  && PyList_GET_SIZE(sticky_obj) == n_nodes
@@ -1603,7 +1628,7 @@ policy_replay(PyObject *self, PyObject *args)
             }
         }
     }
-    else {
+    else if (!baseline) { /* the protocol modes have no tables */
         int kindA = policy == POLICY_GROUP
                         ? PT_GROUP
                         : (policy == POLICY_BIFS ? PT_BIFS : PT_OWNER);
@@ -1666,7 +1691,7 @@ policy_replay(PyObject *self, PyObject *args)
         const int32_t *reqs = req_b.buf;
         const int8_t *accs = acc_b.buf;
 
-        /* Broadcast-if-shared's full destination set. */
+        /* The full destination set (Broadcast-if-shared, snooping). */
         uint64_t full_lo, full_hi;
         if (n_nodes >= 128) {
             full_lo = ~(uint64_t)0;
@@ -1685,6 +1710,7 @@ policy_replay(PyObject *self, PyObject *args)
 
         int64_t indirections = 0;
         int64_t request_sum = 0;
+        int64_t forward_sum = 0;
         int64_t retry_sum = 0;
         int64_t retries_total = 0;
 
@@ -1696,12 +1722,18 @@ policy_replay(PyObject *self, PyObject *args)
         uint64_t p_lo = 0, p_hi = 0;
         int64_t p_count = 0;
         int oom = 0;
+        int bad = 0;
 
         Py_BEGIN_ALLOW_THREADS
         for (Py_ssize_t i = 0; i < nrec; i++) {
             const int64_t address = addrs[i];
             const int32_t requester = reqs[i];
             const int32_t code = accs[i];
+            if (requester < 0 || requester >= n_nodes) {
+                /* every table and mask below is indexed by it */
+                bad = 1;
+                goto compute_halt;
+            }
             const int64_t block = address & block_mask;
             const int64_t key = use_pc ? pcs[i] : (address >> gshift);
             const int32_t home = (int32_t)((block >> block_shift) % n_nodes);
@@ -1780,7 +1812,7 @@ policy_replay(PyObject *self, PyObject *args)
                 }
                 break;
             }
-            default: { /* POLICY_STICKY: three neighbouring entries */
+            case POLICY_STICKY: { /* three neighbouring entries */
                 STable *st = &stables[requester];
                 int64_t bn = address >> sticky_shift;
                 for (int d = -1; d <= 1; d++) {
@@ -1797,6 +1829,12 @@ policy_replay(PyObject *self, PyObject *args)
                 }
                 break;
             }
+            case POLICY_SNOOPING:
+                dest_lo = full_lo;
+                dest_hi = full_hi;
+                break;
+            default: /* POLICY_DIRECTORY multicasts nothing */
+                break;
             }
 
             /* Order on the global MOSI state (apply_fast). */
@@ -1839,8 +1877,25 @@ policy_replay(PyObject *self, PyObject *args)
                 }
             }
 
+            if (policy == POLICY_DIRECTORY) {
+                /* One request to the home (free when the requester is
+                 * home), one forward per node that must observe. */
+                int64_t requests = home != requester;
+                int64_t forwards = popcount128(req_lo, req_hi);
+                request_sum += requests;
+                forward_sum += forwards;
+                indirections += (req_lo | req_hi) != 0;
+                double lat = responder == -1 ? lat_mem : lat_ind;
+                latency_sum += lat;
+                if (want_out) {
+                    lat_out[i] = lat;
+                    tb_out[i] = (requests + forwards) * control + data_size;
+                }
+                continue;
+            }
+
             int64_t dcount = popcount128(dest_lo, dest_hi);
-            request_sum += dcount;
+            request_sum += dcount - 1;
             uint64_t del_lo = dest_lo, del_hi = dest_hi;
             if (((req_lo & ~dest_lo) | (req_hi & ~dest_hi)) == 0) {
                 double lat = responder == -1 ? lat_mem : lat_dir;
@@ -1866,6 +1921,9 @@ policy_replay(PyObject *self, PyObject *args)
                         (dcount - 1 + retry_messages) * control + data_size;
                 }
             }
+
+            if (policy == POLICY_SNOOPING)
+                continue; /* no predictor to train */
 
             /* Data-response training at the requester. */
             int allocate = (req_lo | req_hi) != 0;
@@ -2038,6 +2096,13 @@ policy_replay(PyObject *self, PyObject *args)
             PyErr_NoMemory();
             goto done;
         }
+        if (bad) {
+            /* Nothing has been written back: the Python state is as
+             * it was before the call. */
+            PyErr_SetString(PyExc_ValueError,
+                            "policy_replay: requester out of range");
+            goto done;
+        }
 
         /* Write every piece of state back, then build the result. */
         if (policy == POLICY_STICKY) {
@@ -2047,7 +2112,7 @@ policy_replay(PyObject *self, PyObject *args)
                     goto done;
             }
         }
-        else {
+        else if (!baseline) {
             for (int i = 0; i < n_nodes; i++) {
                 if (gtable_sync(&tablesA[i],
                                 PyList_GET_ITEM(tablesA_obj, i),
@@ -2087,9 +2152,10 @@ policy_replay(PyObject *self, PyObject *args)
             }
         }
         result = Py_BuildValue(
-            "LLLLLdNN", (long long)nrec, (long long)indirections,
-            (long long)request_sum, (long long)retry_sum,
-            (long long)retries_total, latency_sum, lat_bytes, tb_bytes);
+            "LLLLLLdNN", (long long)nrec, (long long)indirections,
+            (long long)request_sum, (long long)forward_sum,
+            (long long)retry_sum, (long long)retries_total, latency_sum,
+            lat_bytes, tb_bytes);
     }
 
 done:
@@ -2773,8 +2839,9 @@ static PyMethodDef native_methods[] = {
     {"timing_pass_detailed", timing_pass_detailed, METH_VARARGS,
      "Crossbar + detailed-processor timing pass over outcome columns."},
     {"policy_replay", policy_replay, METH_VARARGS,
-     "Fused multicast replay over trace columns for one of the five"
-     " compiled predictor policies."},
+     "Fused replay over trace columns for one of the five compiled"
+     " predictor policies or the directory / broadcast-snooping"
+     " protocol modes."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2803,13 +2870,17 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 3) < 0
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 4) < 0
         || PyModule_AddIntConstant(m, "POLICY_GROUP", POLICY_GROUP) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER", POLICY_OWNER) < 0
         || PyModule_AddIntConstant(m, "POLICY_BIFS", POLICY_BIFS) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER_GROUP",
                                    POLICY_OWNER_GROUP) < 0
-        || PyModule_AddIntConstant(m, "POLICY_STICKY", POLICY_STICKY) < 0) {
+        || PyModule_AddIntConstant(m, "POLICY_STICKY", POLICY_STICKY) < 0
+        || PyModule_AddIntConstant(m, "POLICY_DIRECTORY", POLICY_DIRECTORY)
+               < 0
+        || PyModule_AddIntConstant(m, "POLICY_SNOOPING", POLICY_SNOOPING)
+               < 0) {
         Py_DECREF(m);
         return NULL;
     }

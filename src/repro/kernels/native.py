@@ -9,7 +9,7 @@ Python tier on every observable (ResultSet JSON, predictor tables,
 cache/MOSI state, hex-float timing goldens).
 
 Callers come through :mod:`repro.kernels` (``try_group_replay`` /
-``try_policy_replay`` / ``try_timing_pass`` /
+``try_policy_replay`` / ``try_baseline_replay`` / ``try_timing_pass`` /
 ``try_timing_pass_detailed`` / ``collector_session``), which has
 already established that the native tier is active.  Every decline is
 recorded via :func:`repro.kernels.record_decline` so sweeps can report
@@ -41,7 +41,8 @@ def _ext():
 
 
 # ----------------------------------------------------------------------
-# policy replay: repro.protocols.fused.run_group / run_kernel
+# policy replay: repro.protocols.fused.run_group / run_kernel, and the
+# directory / broadcast-snooping _handle_fast loops
 # ----------------------------------------------------------------------
 
 def _trace_columns(trace):
@@ -76,7 +77,8 @@ def _trace_columns(trace):
 def _replay_geometry(proto, kernel_name, check_index=True):
     """Shared replay envelope.  Returns (n, use_pc, gshift, block_size)
     or None (decline recorded)."""
-    if proto.race_probability:
+    # The baselines have no retry window, hence no race probability.
+    if getattr(proto, "race_probability", 0.0):
         _kernels.record_decline(kernel_name, "race-probability")
         return None
     n = proto.config.n_processors
@@ -174,8 +176,9 @@ def _run_policy_replay(
     (
         misses,
         indirections,
-        request_sum,
-        retry_sum,
+        request_messages,
+        forward_messages,
+        retry_messages,
         retries_total,
         latency_sum,
         lat_bytes,
@@ -184,14 +187,14 @@ def _run_policy_replay(
     if out is not None:
         out.latency_ns.frombytes(lat_bytes)
         out.transfer_bytes.frombytes(tb_bytes)
-    request_messages = request_sum - misses
     traffic_bytes = (
-        (request_messages + retry_sum) * proto.traffic.control_bytes
+        (request_messages + forward_messages + retry_messages)
+        * proto.traffic.control_bytes
         + misses * proto.traffic.data_bytes
     )
     totals.add_batch(
-        misses, indirections, request_messages, 0, retry_sum,
-        misses, traffic_bytes, latency_sum, retries_total,
+        misses, indirections, request_messages, forward_messages,
+        retry_messages, misses, traffic_bytes, latency_sum, retries_total,
     )
     return True
 
@@ -349,6 +352,33 @@ def policy_replay(proto, trace, out=None) -> bool:
     # anything else has no native twin.
     _kernels.record_decline("policy_replay", "envelope")
     return False
+
+
+def baseline_replay(proto, trace, out=None) -> bool:
+    """Native directory / broadcast-snooping replay.
+
+    The ``policy_replay`` kernel's two protocol modes: the same MOSI
+    core as the predictor policies, with only the block map crossing
+    the boundary.  The caller has established that the protocol's
+    ``_handle_fast`` is the stock one.  False -> caller runs the
+    Python loop (decline recorded).
+    """
+    from repro.protocols.directory import DirectoryProtocol
+
+    geometry = _replay_geometry(proto, "policy_replay", check_index=False)
+    if geometry is None:
+        return False
+    n, use_pc, gshift, block_size = geometry
+    ext = _ext()
+    if isinstance(proto, DirectoryProtocol):
+        policy = ext.POLICY_DIRECTORY
+    else:
+        policy = ext.POLICY_SNOOPING
+    return _run_policy_replay(
+        proto, trace, out, "policy_replay", policy,
+        n, use_pc, gshift, block_size,
+        None, None, None, None, 0, 0, 0, 0, None, 0, 0, 0,
+    )
 
 
 # ----------------------------------------------------------------------

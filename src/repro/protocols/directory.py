@@ -13,14 +13,19 @@ cache pay the 3-hop indirection latency.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro import kernels
 from repro.common.destset import popcount
 from repro.common.types import MEMORY_NODE, home_node
 from repro.protocols.base import (
     CoherenceProtocol,
     LatencyClass,
+    OutcomeColumns,
     RequestOutcome,
 )
 from repro.trace.record import TraceRecord
+from repro.trace.trace import Trace
 
 
 class DirectoryProtocol(CoherenceProtocol):
@@ -56,6 +61,20 @@ class DirectoryProtocol(CoherenceProtocol):
             indirection=coherence.directory_indirection,
             latency_class=latency_class,
         )
+
+    def _run_columns(
+        self, trace: Trace, out: Optional[OutcomeColumns] = None
+    ) -> None:
+        """Columnar replay: the native directory mode when it applies.
+
+        Subclasses that override ``_handle_fast`` keep the Python loop.
+        """
+        if (
+            type(self)._handle_fast is DirectoryProtocol._handle_fast
+            and kernels.try_baseline_replay(self, trace, out)
+        ):
+            return
+        super()._run_columns(trace, out)
 
     def _handle_fast(self, address, pc, requester, code, block):
         responder, required = self.state.apply_fast(

@@ -8,13 +8,18 @@ paper's maximal destination set.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro import kernels
 from repro.common.types import MEMORY_NODE
 from repro.protocols.base import (
     CoherenceProtocol,
     LatencyClass,
+    OutcomeColumns,
     RequestOutcome,
 )
 from repro.trace.record import TraceRecord
+from repro.trace.trace import Trace
 
 
 class BroadcastSnoopingProtocol(CoherenceProtocol):
@@ -38,6 +43,21 @@ class BroadcastSnoopingProtocol(CoherenceProtocol):
             indirection=False,
             latency_class=latency_class,
         )
+
+    def _run_columns(
+        self, trace: Trace, out: Optional[OutcomeColumns] = None
+    ) -> None:
+        """Columnar replay: the native snooping mode when it applies.
+
+        Subclasses that override ``_handle_fast`` keep the Python loop.
+        """
+        if (
+            type(self)._handle_fast
+            is BroadcastSnoopingProtocol._handle_fast
+            and kernels.try_baseline_replay(self, trace, out)
+        ):
+            return
+        super()._run_columns(trace, out)
 
     def _handle_fast(self, address, pc, requester, code, block):
         responder = self.state.apply_fast(block, requester, code)[2]

@@ -107,10 +107,17 @@ def test_collector_kernel_conformance(unified_backend, reference):
 
 @pytest.mark.parametrize("label", PROTOCOL_LABELS)
 def test_replay_kernel_conformance(unified_backend, reference, label):
-    """Replay kernels leave identical totals/tables/coherence state."""
+    """Replay kernels leave identical totals/tables/coherence state.
+
+    On the native leg every label (the directory and broadcast-snooping
+    protocol modes included) must replay compiled, never declining.
+    """
     trace = reference["trace"][:]
     protocol = make_protocol(label, SystemConfig(), PredictorConfig())
+    kernels.reset_decline_counts()
     protocol.run(trace)
+    if unified_backend == "native":
+        assert kernels.decline_counts() == {}
     totals, tables, blocks, _ = reference["runs"][label]
     assert protocol.totals == totals
     if tables is not None:

@@ -51,6 +51,50 @@ def test_auto_with_unbuilt_native_stays_silent(
         assert _backend.resolve_env() in ("numpy", "pure")
 
 
+def test_stale_native_extension_counts_as_unbuilt(monkeypatch):
+    """An extension built from an older ``_native.c`` (wrong
+    ``ABI_VERSION``) is never handed to the glue: it counts as
+    unbuilt, with one warning naming the rebuild command."""
+    import sys
+    import types
+
+    import repro.kernels
+
+    stale = types.ModuleType("repro.kernels._native")
+    stale.ABI_VERSION = _backend.NATIVE_ABI_VERSION - 1
+    monkeypatch.setitem(sys.modules, "repro.kernels._native", stale)
+    monkeypatch.setattr(repro.kernels, "_native", stale, raising=False)
+    monkeypatch.setattr(_backend, "_native_module", False)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert _backend.native_module() is None
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "python -m repro.kernels.build" in message
+    assert str(_backend.NATIVE_ABI_VERSION) in message
+    # Probed once per process: asking again neither warns nor flips.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _backend.native_module() is None
+        assert not _backend.native_available()
+        assert "native" not in kernels.available_backends()
+
+
+def test_current_native_extension_is_accepted(monkeypatch):
+    import sys
+    import types
+
+    import repro.kernels
+
+    current = types.ModuleType("repro.kernels._native")
+    current.ABI_VERSION = _backend.NATIVE_ABI_VERSION
+    monkeypatch.setitem(sys.modules, "repro.kernels._native", current)
+    monkeypatch.setattr(repro.kernels, "_native", current, raising=False)
+    monkeypatch.setattr(_backend, "_native_module", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _backend.native_module() is current
+
+
 def test_decline_counters_tally_per_kernel_and_reason():
     kernels.reset_decline_counts()
     try:

@@ -214,3 +214,204 @@ def test_native_group_replay_declines_overflowing_keys():
         pass  # ensure backend module is initialised
     assert not native.group_replay(proto, trace, out=None)
     assert table._entries == before  # untouched by the declined call
+
+
+# ----------------------------------------------------------------------
+# Baseline protocol modes of the native policy_replay kernel
+# ----------------------------------------------------------------------
+
+BASELINE_LABELS = ("directory", "broadcast-snooping")
+
+#: Both ends of each mask lane, plus the single-node machine.
+BASELINE_NODE_COUNTS = (1, 2, 63, 64, 65, 128)
+
+
+def _require_native():
+    from repro import kernels
+
+    if not kernels.native_available():
+        pytest.skip("native kernel extension not built")
+
+
+def _baseline_class(label):
+    from repro.protocols.directory import DirectoryProtocol
+    from repro.protocols.snooping import BroadcastSnoopingProtocol
+
+    if label == "directory":
+        return DirectoryProtocol
+    return BroadcastSnoopingProtocol
+
+
+def _record_oracle(proto, trace):
+    """Replay through ``handle`` and rebuild the outcome columns."""
+    from repro.protocols.base import OutcomeColumns
+
+    out = OutcomeColumns()
+    for record in trace:
+        outcome = proto.handle(record)
+        out.latency_ns.append(outcome.latency_class.latency_ns(proto.latency))
+        out.transfer_bytes.append(outcome.traffic_bytes(proto.traffic))
+    return out
+
+
+@pytest.mark.parametrize("model", ("simple", "detailed"))
+@pytest.mark.parametrize("n_nodes", BASELINE_NODE_COUNTS)
+@pytest.mark.parametrize("label", BASELINE_LABELS)
+def test_native_baseline_modes_match_record_oracle(label, n_nodes, model):
+    """Directory / snooping replay natively at every lane edge, equal
+    to the record path on totals, MOSI state, outcome columns and
+    timing."""
+    _require_native()
+    from repro import kernels
+    from repro.common import backend as _backend
+    from repro.common.params import SystemConfig
+    from repro.kernels import native
+    from repro.protocols.base import OutcomeColumns
+    from repro.timing.system import TimingSimulator
+
+    config = SystemConfig(n_processors=n_nodes)
+    trace = _wide_trace(n_nodes)
+    protocol = _baseline_class(label)
+
+    oracle = protocol(config)
+    out_oracle = _record_oracle(oracle, trace)
+    proto = protocol(config)
+    out = OutcomeColumns()
+    assert native.baseline_replay(proto, trace, out)
+    assert proto.totals == oracle.totals
+    assert proto.state._blocks == oracle.state._blocks
+    assert out.latency_ns.tobytes() == out_oracle.latency_ns.tobytes()
+    assert out.transfer_bytes.tobytes() == out_oracle.transfer_bytes.tobytes()
+
+    record_sim = TimingSimulator(config, protocol(config), model)
+    expected = record_sim.run(trace, columnar=False)
+    kernels.reset_decline_counts()
+    with _backend.use("native"):
+        native_sim = TimingSimulator(config, protocol(config), model)
+        result = native_sim.run(trace)
+    assert kernels.decline_counts() == {}
+    assert result == expected
+    assert native_sim.protocol.totals == record_sim.protocol.totals
+    assert (
+        native_sim.protocol.state._blocks
+        == record_sim.protocol.state._blocks
+    )
+
+
+@pytest.mark.parametrize("label", BASELINE_LABELS)
+def test_native_baseline_modes_decline_past_envelope(label):
+    """129 nodes: the kernel declines (counted), the Python loop runs,
+    and the results are the record path's."""
+    _require_native()
+    from repro import kernels
+    from repro.common import backend as _backend
+    from repro.common.params import SystemConfig
+    from repro.protocols.base import OutcomeColumns
+
+    config = SystemConfig(n_processors=129)
+    trace = _wide_trace(129)
+    protocol = _baseline_class(label)
+
+    oracle = protocol(config)
+    out_oracle = _record_oracle(oracle, trace)
+    kernels.reset_decline_counts()
+    with _backend.use("native"):
+        proto = protocol(config)
+        out = OutcomeColumns()
+        proto._run_columns(trace, out)
+    assert kernels.decline_counts() == {"policy_replay:envelope": 1}
+    assert proto.totals == oracle.totals
+    assert proto.state._blocks == oracle.state._blocks
+    assert out.latency_ns.tobytes() == out_oracle.latency_ns.tobytes()
+    assert out.transfer_bytes.tobytes() == out_oracle.transfer_bytes.tobytes()
+
+
+@pytest.mark.parametrize("label", BASELINE_LABELS)
+def test_baseline_handle_fast_override_keeps_python_loop(label):
+    """A subclass that overrides ``_handle_fast`` is never replaced by
+    the native mode: its own kernel sees every record."""
+    _require_native()
+    from repro import kernels
+    from repro.common import backend as _backend
+    from repro.common.params import SystemConfig
+
+    base = _baseline_class(label)
+
+    class Counting(base):
+        calls = 0
+
+        def _handle_fast(self, *args):
+            self.calls += 1
+            return super()._handle_fast(*args)
+
+    config = SystemConfig(n_processors=16)
+    trace = _wide_trace(16)
+    kernels.reset_decline_counts()
+    with _backend.use("native"):
+        counting = Counting(config)
+        counting.run(trace)
+        stock = base(config)
+        stock.run(trace)
+    assert counting.calls == len(trace)
+    assert kernels.decline_counts() == {}
+    assert counting.totals == stock.totals
+    assert counting.state._blocks == stock.state._blocks
+
+
+_OUT_OF_RANGE_SCRIPT = """
+import sys
+
+from repro.common import backend
+from repro.common.params import PredictorConfig, SystemConfig
+from repro.evaluation.runtime import make_protocol
+from repro.protocols.base import TrafficTotals
+from repro.trace.trace import Trace
+
+backend.set_backend("native")
+trace = Trace(n_processors=4096)
+trace.append_fields(4096, 0, 1, 0, 5)
+trace.append_fields(8192, 0, 3016, 1, 5)
+proto = make_protocol(sys.argv[1], SystemConfig(), PredictorConfig())
+try:
+    proto.run(trace)
+except ValueError as exc:
+    assert "requester out of range" in str(exc), exc
+    # Nothing was written back, not even the valid first record.
+    assert proto.state._blocks == {}, proto.state._blocks
+    assert proto.totals == TrafficTotals(), proto.totals
+    print("raised ValueError")
+"""
+
+
+@pytest.mark.parametrize(
+    "label",
+    (
+        "directory", "broadcast-snooping", "owner",
+        "broadcast-if-shared", "group", "owner-group", "sticky-spatial",
+    ),
+)
+def test_native_replay_rejects_out_of_range_requesters(label):
+    """A requester past the config's node count raises ValueError on
+    the native tier (it once indexed past the per-node tables and
+    crashed the interpreter); a subprocess keeps a crash observable."""
+    _require_native()
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.abspath(src), env.get("PYTHONPATH")))
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_RANGE_SCRIPT, label],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, (
+        completed.returncode, completed.stderr[-2000:]
+    )
+    assert "raised ValueError" in completed.stdout
