@@ -14,6 +14,16 @@ predicted destination set against the required one, yielding
 These decompose *why* a policy sits where it does on the Figure 5
 plane: Owner fails coverage on wide write sets, Broadcast-If-Shared
 buys coverage with near-zero precision, Group balances both.
+
+Scoring happens inside the replay that makes the predictions: a
+:class:`~repro.protocols.multicast.MulticastSnoopingProtocol` whose
+``accuracy`` attribute holds a report scores every request it replays
+into it.  The record path (``_handle``) and the scalar columnar path
+(``_handle_fast``) both call :meth:`AccuracyReport.score`; the
+compiled ``policy_replay`` kernel accumulates the same counters in C
+and folds them in through :meth:`AccuracyReport.add_counts`.  The
+Python fused tiers never score — a scored run that the native tier
+declines takes the scalar loop.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ import dataclasses
 import enum
 from typing import Dict, Optional
 
+from repro.common.destset import popcount
 from repro.common.params import PredictorConfig, SystemConfig
-from repro.coherence.sufficiency import minimal_set, required_set
 from repro.protocols.multicast import MulticastSnoopingProtocol
 from repro.trace.trace import Trace
 
@@ -74,6 +84,59 @@ class AccuracyReport:
             return 0.0
         return 100.0 * self.outcomes[outcome] / self.predictions
 
+    # ------------------------------------------------------------------
+    def score(self, extras: int, need: int) -> None:
+        """Score one prediction.
+
+        ``extras`` is the bitmask of predicted destinations beyond the
+        minimal set (requester + home); ``need`` the bitmask of
+        processors beyond the minimal set that had to see the request.
+        """
+        self.predictions += 1
+        covered = popcount(need & extras)
+        self.required_nodes += popcount(need)
+        self.covered_nodes += covered
+        self.predicted_extra_nodes += popcount(extras)
+        self.useful_extra_nodes += covered
+        if not need and not extras:
+            outcome = PredictionOutcome.TRIVIAL
+        elif extras == need:
+            outcome = PredictionOutcome.EXACT
+        elif not need & ~extras:
+            outcome = PredictionOutcome.OVER
+        elif not extras & ~need:
+            outcome = PredictionOutcome.UNDER
+        else:
+            outcome = PredictionOutcome.MIXED
+        self.outcomes[outcome] += 1
+
+    def add_counts(
+        self,
+        predictions: int,
+        required: int,
+        covered: int,
+        predicted_extra: int,
+        trivial: int,
+        exact: int,
+        over: int,
+        under: int,
+        mixed: int,
+    ) -> None:
+        """Fold a batch of :meth:`score` results (the compiled replay's
+        counters; covered and useful extra nodes are one intersection).
+        """
+        self.predictions += predictions
+        self.required_nodes += required
+        self.covered_nodes += covered
+        self.predicted_extra_nodes += predicted_extra
+        self.useful_extra_nodes += covered
+        outcomes = self.outcomes
+        outcomes[PredictionOutcome.TRIVIAL] += trivial
+        outcomes[PredictionOutcome.EXACT] += exact
+        outcomes[PredictionOutcome.OVER] += over
+        outcomes[PredictionOutcome.UNDER] += under
+        outcomes[PredictionOutcome.MIXED] += mixed
+
     def __str__(self) -> str:
         return (
             f"{self.policy:20s} coverage={self.coverage_pct:5.1f}%  "
@@ -83,54 +146,6 @@ class AccuracyReport:
         )
 
 
-class _AccuracyProbeProtocol(MulticastSnoopingProtocol):
-    """Multicast snooping that scores each prediction as it happens."""
-
-    def __init__(self, config, predictor, predictor_config, report):
-        super().__init__(config, predictor, predictor_config)
-        self.report = report
-        self.scoring = True
-
-    def _handle(self, record):
-        if self.scoring:
-            self._score(record)
-        return super()._handle(record)
-
-    def _score(self, record) -> None:
-        n = self.config.n_processors
-        predictor = self.predictors[record.requester]
-        predicted = predictor.predict(
-            record.address, record.pc, record.access
-        )
-        state = self.state.lookup(record.address)
-        minimal = minimal_set(record.requester, record.address, n,
-                              self.config.block_size)
-        # Required processors beyond the minimal set.
-        required = required_set(
-            state, record.requester, record.access, n
-        ) - minimal
-        extras = (predicted | minimal) - minimal
-
-        report = self.report
-        report.predictions += 1
-        report.required_nodes += required.count()
-        report.covered_nodes += (required & extras).count()
-        report.predicted_extra_nodes += extras.count()
-        report.useful_extra_nodes += (extras & required).count()
-
-        if required.is_empty() and extras.is_empty():
-            outcome = PredictionOutcome.TRIVIAL
-        elif extras == required:
-            outcome = PredictionOutcome.EXACT
-        elif extras.is_superset_of(required):
-            outcome = PredictionOutcome.OVER
-        elif required.is_superset_of(extras):
-            outcome = PredictionOutcome.UNDER
-        else:
-            outcome = PredictionOutcome.MIXED
-        report.outcomes[outcome] += 1
-
-
 def prediction_accuracy(
     trace: Trace,
     policy: str,
@@ -138,16 +153,19 @@ def prediction_accuracy(
     predictor_config: Optional[PredictorConfig] = None,
     warmup_fraction: float = 0.25,
 ) -> AccuracyReport:
-    """Score ``policy``'s predictions over the post-warmup trace."""
+    """Score ``policy``'s predictions over the post-warmup trace.
+
+    ``warmup_fraction`` must lie in [0, 1): a warm-up covering the
+    whole trace would score nothing and report a vacuous 100%.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
     config = config if config is not None else SystemConfig()
     report = AccuracyReport(policy=policy, workload=trace.name)
-    protocol = _AccuracyProbeProtocol(
-        config, policy, predictor_config, report
-    )
+    protocol = MulticastSnoopingProtocol(config, policy, predictor_config)
     n_warmup = int(len(trace) * warmup_fraction)
     warmup, measured = trace.split_warmup(n_warmup)
-    protocol.scoring = False
     protocol.run(warmup)
-    protocol.scoring = True
+    protocol.accuracy = report
     protocol.run(measured)
     return report

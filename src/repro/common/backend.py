@@ -49,7 +49,7 @@ BACKENDS: Tuple[str, ...] = ("pure", "numpy", "native")
 
 #: The ``_native.ABI_VERSION`` this package's glue speaks.  An
 #: extension built from an older ``_native.c`` counts as unbuilt.
-NATIVE_ABI_VERSION = 4
+NATIVE_ABI_VERSION = 5
 
 _active: Optional[str] = None
 _warned_native_missing = False

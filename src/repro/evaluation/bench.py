@@ -45,6 +45,7 @@ import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.accuracy import prediction_accuracy
 from repro.analysis.locality import locality_cdf
 from repro.analysis.sharing import degree_of_sharing, sharing_histogram
 from repro.common import backend as _backend
@@ -54,6 +55,7 @@ from repro.evaluation.tradeoff import (
     evaluate_design_space,
     evaluate_protocol,
 )
+from repro.predictors.registry import PAPER_POLICIES
 from repro.timing.system import TimingSimulator
 from repro.trace.stats import compute_trace_stats
 from repro.trace.trace import Trace
@@ -108,7 +110,8 @@ QUICK_REFERENCES = 8_000
 #: ``pre_native_baseline`` block) document the compiled tier's
 #: speedup on the same machine in the same run.  One twin per
 #: compiled kernel: the directory and broadcast-snooping protocol
-#: modes, the fused policy replays, both timing passes, and the
+#: modes, the fused policy replays, accuracy scoring (the same replay
+#: with its scoring counters on), both timing passes, and the
 #: 64-node scaling entry (which exercises the two-word
 #: destination-mask envelope).
 NATIVE_BENCH_ENTRIES = (
@@ -118,6 +121,7 @@ NATIVE_BENCH_ENTRIES = (
     "protocol_multicast_owner",
     "protocol_multicast_bifs",
     "protocol_multicast_sticky",
+    "accuracy_sweep",
     "timing_runtime",
     "timing_detailed",
     "protocol_scale64",
@@ -277,6 +281,16 @@ def _benchmarks(
         instance = make_protocol(label, config, predictor_config)
         evaluate_protocol(instance, trace, label=label)
         return len(trace)
+
+    def accuracy_sweep() -> int:
+        # Prediction scoring for the paper's four policies: the
+        # accuracy sweep over the bench trace.
+        for policy in PAPER_POLICIES:
+            prediction_accuracy(
+                trace, policy, config=config,
+                predictor_config=predictor_config,
+            )
+        return len(trace) * len(PAPER_POLICIES)
 
     def timing_runtime() -> int:
         instance = make_protocol("group", config, predictor_config)
@@ -533,6 +547,7 @@ def _benchmarks(
             "protocol_multicast_sticky",
             lambda: protocol("sticky-spatial"),
         ),
+        ("accuracy_sweep", accuracy_sweep),
         ("timing_runtime", timing_runtime),
         ("timing_detailed", timing_detailed),
         ("timing_constrained_bw", timing_constrained_bw),

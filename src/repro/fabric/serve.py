@@ -13,7 +13,11 @@ directory, for dashboard-style repeated query traffic:
   ``200`` with the full result when the store already covers it (the
   repeated-query fast path) or ``202`` with the digest and queue
   counts when cold — workers (``repro work --follow``, or the
-  server's own embedded workers) then fill the store.
+  server's own embedded workers) then fill the store.  The body is
+  checked before it is read: a missing, negative or non-integer
+  ``Content-Length`` answers ``400``, one over :data:`MAX_BODY_BYTES`
+  answers ``413``, and a body that is not a JSON object (or not
+  decodable at all) answers ``400``.
 - ``GET /status`` — queue/lease/store introspection, the HTTP twin of
   ``repro fabric status``.
 
@@ -35,6 +39,10 @@ from repro.fabric.worker import WorkerOptions, _worker_entry
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8321
+
+#: Largest ``POST /sweep`` body the server reads; a spec is a few
+#: hundred bytes, so anything near this is not a spec.
+MAX_BODY_BYTES = 1 << 20
 
 _RESULT_PATH = re.compile(r"^/result/([0-9a-f]{16})$")
 
@@ -100,10 +108,22 @@ class FabricRequestHandler(BaseHTTPRequestHandler):
             return
         coordinator = self.server.coordinator
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            spec = ExperimentSpec.from_dict(
-                json.loads(self.rfile.read(length))
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_object(400, {"error": "invalid Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_object(
+                413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
             )
+            return
+        try:
+            data = json.loads(self.rfile.read(length))
+            if not isinstance(data, dict):
+                raise TypeError("a spec is a JSON object")
+            spec = ExperimentSpec.from_dict(data)
         except (TypeError, ValueError) as exc:
             self._send_object(400, {"error": f"invalid spec: {exc}"})
             return

@@ -33,6 +33,11 @@ are mutated in place to the exact values the Python loops produce.
   policies: Owner, Broadcast-if-shared, Owner-group, Sticky-spatial
   (:func:`repro.protocols.fused.run_kernel` with each policy's
   ``fused_kernel`` closures);
+- accuracy scoring — not a kernel of its own: while a multicast
+  protocol's ``accuracy`` report is set, ``group_replay`` /
+  ``policy_replay`` also count coverage, precision and the outcome
+  classes of every prediction
+  (:mod:`repro.analysis.accuracy`), so scored runs stay compiled;
 - ``baseline_replay`` — the directory and broadcast-snooping replays
   (``DirectoryProtocol`` / ``BroadcastSnoopingProtocol._handle_fast``)
   as two protocol modes of the same ``policy_replay`` kernel, which

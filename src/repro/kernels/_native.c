@@ -7,7 +7,9 @@
  *                          Owner-group, Sticky-spatial), plus two
  *                          protocol modes on the same MOSI core for
  *                          the baselines (DirectoryProtocol and
- *                          BroadcastSnoopingProtocol._handle_fast)
+ *                          BroadcastSnoopingProtocol._handle_fast);
+ *                          the predictor modes optionally score each
+ *                          prediction (the accuracy analysis)
  *   timing_pass          — mirror of TimingSimulator._timing_pass_simple
  *   timing_pass_detailed — the same crossbar pass with the detailed
  *                          (bounded-outstanding-miss) processor model
@@ -1552,16 +1554,16 @@ policy_replay(PyObject *self, PyObject *args)
     long long sticky_entries_ll;
     double lat_mem, lat_dir, lat_ind, latency_sum;
     long long block_mask_ll, control_ll, data_ll;
-    int want_out;
+    int want_out, want_score;
 
     if (!PyArg_ParseTuple(
-            args, "iy*y*y*y*iLiiiOOOOiiiiOiLiOdddLLdi", &policy, &addr_b,
+            args, "iy*y*y*y*iLiiiOOOOiiiiOiLiOdddLLdii", &policy, &addr_b,
             &pc_b, &req_b, &acc_b, &n_nodes, &block_mask_ll, &block_shift,
             &use_pc, &gshift, &tablesA_obj, &factoriesA_obj, &tablesB_obj,
             &factoriesB_obj, &cmax_i, &thr_i, &rperiod_i, &tdown,
             &sticky_obj, &sticky_unbounded, &sticky_entries_ll,
             &sticky_shift, &state_obj, &lat_mem, &lat_dir, &lat_ind,
-            &control_ll, &data_ll, &latency_sum, &want_out))
+            &control_ll, &data_ll, &latency_sum, &want_out, &want_score))
         return NULL;
 
     PyObject *result = NULL;
@@ -1713,6 +1715,14 @@ policy_replay(PyObject *self, PyObject *args)
         int64_t forward_sum = 0;
         int64_t retry_sum = 0;
         int64_t retries_total = 0;
+
+        /* Accuracy scoring (MulticastSnoopingProtocol.accuracy): the
+         * predicted extras and the required nodes, both beyond the
+         * minimal set, in AccuracyReport.add_counts order. */
+        int64_t sc_required = 0;
+        int64_t sc_covered = 0;
+        int64_t sc_extra = 0;
+        int64_t sc_class[5] = {0, 0, 0, 0, 0};
 
         /* Pending fused training batch (never engages for sticky,
          * whose kernel has no train_external). */
@@ -1923,7 +1933,30 @@ policy_replay(PyObject *self, PyObject *args)
             }
 
             if (policy == POLICY_SNOOPING)
-                continue; /* no predictor to train */
+                continue; /* no predictor to train or score */
+
+            if (want_score) {
+                const uint64_t x_lo = dest_lo & ~minimal_lo;
+                const uint64_t x_hi = dest_hi & ~minimal_hi;
+                const uint64_t n_lo = req_lo & ~minimal_lo;
+                const uint64_t n_hi = req_hi & ~minimal_hi;
+                sc_required += popcount128(n_lo, n_hi);
+                sc_covered += popcount128(n_lo & x_lo, n_hi & x_hi);
+                sc_extra += popcount128(x_lo, x_hi);
+                /* trivial, exact, over, under, mixed */
+                int cls;
+                if (!(x_lo | x_hi | n_lo | n_hi))
+                    cls = 0;
+                else if (x_lo == n_lo && x_hi == n_hi)
+                    cls = 1;
+                else if (!((n_lo & ~x_lo) | (n_hi & ~x_hi)))
+                    cls = 2;
+                else if (!((x_lo & ~n_lo) | (x_hi & ~n_hi)))
+                    cls = 3;
+                else
+                    cls = 4;
+                sc_class[cls]++;
+            }
 
             /* Data-response training at the requester. */
             int allocate = (req_lo | req_hi) != 0;
@@ -2151,11 +2184,26 @@ policy_replay(PyObject *self, PyObject *args)
                 goto done;
             }
         }
+        PyObject *score = Py_None;
+        if (want_score && !baseline)
+            score = Py_BuildValue(
+                "(LLLLLLLLL)", (long long)nrec, (long long)sc_required,
+                (long long)sc_covered, (long long)sc_extra,
+                (long long)sc_class[0], (long long)sc_class[1],
+                (long long)sc_class[2], (long long)sc_class[3],
+                (long long)sc_class[4]);
+        else
+            Py_INCREF(Py_None);
+        if (!score) {
+            Py_DECREF(lat_bytes);
+            Py_DECREF(tb_bytes);
+            goto done;
+        }
         result = Py_BuildValue(
-            "LLLLLLdNN", (long long)nrec, (long long)indirections,
+            "LLLLLLdNNN", (long long)nrec, (long long)indirections,
             (long long)request_sum, (long long)forward_sum,
             (long long)retry_sum, (long long)retries_total, latency_sum,
-            lat_bytes, tb_bytes);
+            lat_bytes, tb_bytes, score);
     }
 
 done:
@@ -2870,7 +2918,7 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 4) < 0
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 5) < 0
         || PyModule_AddIntConstant(m, "POLICY_GROUP", POLICY_GROUP) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER", POLICY_OWNER) < 0
         || PyModule_AddIntConstant(m, "POLICY_BIFS", POLICY_BIFS) < 0

@@ -129,7 +129,14 @@ def _run_policy_replay(
     sticky_unbounded,
     sticky_entries,
     sticky_shift,
+    report=None,
 ) -> bool:
+    """One ``policy_replay`` call, folded into ``proto``'s totals.
+
+    With ``report`` (an :class:`~repro.analysis.accuracy.AccuracyReport`)
+    the kernel also scores every prediction and the counters are
+    folded into it.
+    """
     columns = _trace_columns(trace)
     if columns is None:  # pragma: no cover - fixed typecodes
         _kernels.record_decline(kernel_name, "envelope")
@@ -167,6 +174,7 @@ def _run_policy_replay(
         proto.traffic.data_bytes,
         totals.latency_ns_sum,
         0 if out is None else 1,
+        0 if report is None else 1,
     )
     if result is None:
         # State outside the envelope (e.g. an int64-overflowing key);
@@ -183,7 +191,10 @@ def _run_policy_replay(
         latency_sum,
         lat_bytes,
         tb_bytes,
+        score,
     ) = result
+    if report is not None:
+        report.add_counts(*score)
     if out is not None:
         out.latency_ns.frombytes(lat_bytes)
         out.transfer_bytes.frombytes(tb_bytes)
@@ -224,7 +235,7 @@ def group_replay(proto, trace, out=None) -> bool:
         n, use_pc, gshift, block_size,
         list(tables), [t._entry_factory for t in tables], None, None,
         first._counter_max, first._threshold, first._rollover_period,
-        first._train_down, None, 0, 0, 0,
+        first._train_down, None, 0, 0, 0, proto.accuracy,
     )
 
 
@@ -277,7 +288,7 @@ def policy_replay(proto, trace, out=None) -> bool:
             n, use_pc, gshift, block_size,
             None, None, None, None, 0, 0, 0, 0,
             list(predictors), unbounded, n_entries,
-            granularity.bit_length() - 1,
+            granularity.bit_length() - 1, proto.accuracy,
         )
 
     if first_type is OwnerPredictor or first_type is BroadcastIfSharedPredictor:
@@ -301,7 +312,7 @@ def policy_replay(proto, trace, out=None) -> bool:
             proto, trace, out, "policy_replay", policy,
             n, use_pc, gshift, block_size,
             list(tables), [t._entry_factory for t in tables], None, None,
-            cmax, 0, 0, 0, None, 0, 0, 0,
+            cmax, 0, 0, 0, None, 0, 0, 0, proto.accuracy,
         )
 
     if first_type is OwnerGroupPredictor:
@@ -345,7 +356,7 @@ def policy_replay(proto, trace, out=None) -> bool:
             n, use_pc, gshift, block_size,
             list(o_tables), [t._entry_factory for t in o_tables],
             list(g_tables), [t._entry_factory for t in g_tables],
-            cmax, thr, rperiod, tdown, None, 0, 0, 0,
+            cmax, thr, rperiod, tdown, None, 0, 0, 0, proto.accuracy,
         )
 
     # Uniform stock GroupPredictors route through try_group_replay;

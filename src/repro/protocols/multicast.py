@@ -18,12 +18,18 @@ Training: the requester's predictor trains on the data response (which
 carries the responder's identity); every processor that received the
 request trains on it as an external request; StickySpatial additionally
 receives the directory's corrected set.
+
+Accuracy scoring: while :attr:`MulticastSnoopingProtocol.accuracy`
+holds an :class:`~repro.analysis.accuracy.AccuracyReport`, every
+replayed request also scores its prediction into it (see
+:mod:`repro.analysis.accuracy`).
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.destset import DestinationSet, full_mask, popcount
 from repro.common.params import PredictorConfig, SystemConfig
@@ -42,6 +48,9 @@ from repro.protocols.base import (
 )
 from repro.trace.record import TraceRecord
 from repro.trace.trace import ACCESS_BY_CODE, Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.accuracy import AccuracyReport
 
 _MAX_RETRIES = 3  # third retry resorts to broadcast (Section 4.1)
 
@@ -149,6 +158,10 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
         self._apply_fast = self.state.apply_fast
         self._use_pc_index = self.predictor_config.use_pc_index
         self._granularity = self.predictor_config.index_granularity
+        #: When set, every replayed request scores its prediction into
+        #: this report (the accuracy analysis sets it for the measured
+        #: half of a trace).
+        self.accuracy: Optional["AccuracyReport"] = None
         self.predictors = instances
 
     @property
@@ -190,41 +203,51 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
     ) -> None:
         """Batched columnar replay (see :mod:`repro.protocols.fused`).
 
-        Picks the fastest applicable tier: the fully-inlined Group
-        loop, a policy :class:`~repro.predictors.base.FusedKernel`
-        skeleton, or the generic per-record loop with fused external
-        training batches.  Subclasses that override ``_handle_fast``
-        keep the base per-record loop.
+        Picks the fastest applicable tier: the native replay, then the
+        fully-inlined Group loop, a policy
+        :class:`~repro.predictors.base.FusedKernel` skeleton, or the
+        generic per-record loop with fused external training batches.
+        Subclasses that override ``_handle_fast`` keep the base
+        per-record loop, and so does a scored run (``accuracy`` set)
+        that the native tier declines: the Python fused tiers never
+        score.
         """
         self._prepare_fast_run()
+        predictors = self._predictors
         if (
             type(self)._handle_fast
             is not MulticastSnoopingProtocol._handle_fast
+            or not predictors
         ):
-            super()._run_columns(trace, out)
-            return
-        predictors = self._predictors
-        if not predictors:
             super()._run_columns(trace, out)
             return
         first_type = type(predictors[0])
         homogeneous = all(type(p) is first_type for p in predictors)
+        native = None
+        python_tier = functools.partial(fused.run_generic, self, trace, out)
         if homogeneous and not self._needs_truth and fused.group_uniform(
             predictors
         ):
-            if not kernels.try_group_replay(self, trace, out):
-                fused.run_group(self, trace, out)
+            native = kernels.try_group_replay
+            python_tier = functools.partial(fused.run_group, self, trace, out)
+        else:
+            kernel = (
+                first_type.fused_kernel(predictors) if homogeneous
+                else None
+            )
+            if kernel is not None and (
+                not self._needs_truth or kernel.train_truth is not None
+            ):
+                native = kernels.try_policy_replay
+                python_tier = functools.partial(
+                    fused.run_kernel, self, trace, kernel, out
+                )
+        if native is not None and native(self, trace, out):
             return
-        kernel = (
-            first_type.fused_kernel(predictors) if homogeneous else None
-        )
-        if kernel is not None and (
-            not self._needs_truth or kernel.train_truth is not None
-        ):
-            if not kernels.try_policy_replay(self, trace, out):
-                fused.run_kernel(self, trace, kernel, out)
-            return
-        fused.run_generic(self, trace, out)
+        if self.accuracy is not None:
+            super()._run_columns(trace, out)
+        else:
+            python_tier()
 
     # ------------------------------------------------------------------
     def _handle(self, record: TraceRecord) -> RequestOutcome:
@@ -249,6 +272,12 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
             self.config.block_size,
         )
         coherence = self.state.apply(record)
+        if self.accuracy is not None:
+            minimal_bits = minimal._bits
+            self.accuracy.score(
+                destination._bits & ~minimal_bits,
+                coherence.required._bits & ~minimal_bits,
+            )
 
         # Initial multicast: delivered to every member but the requester.
         request_messages = destination.count() - 1
@@ -306,6 +335,10 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
         destination = predicted._bits | minimal
 
         responder, required = self._apply_fast(block, requester, code)[2:]
+        if self.accuracy is not None:
+            self.accuracy.score(
+                destination & ~minimal, required & ~minimal
+            )
         # The destination always covers the requester and home (the
         # minimal set is unioned in), so sufficiency reduces to
         # covering the required processors (Section 4.1).

@@ -237,21 +237,29 @@ def test_resultset_json_identical_across_backends_and_runners(tmp_path):
 
 @pytest.mark.parametrize("policy", PAPER_POLICIES)
 def test_accuracy_identical_on_object_trace(traces, policy):
-    """Accuracy probing (an ``_handle`` override) matches across inputs.
+    """Per-record ``handle()`` scoring matches the columnar replay.
 
-    The accuracy probe protocol overrides ``_handle``, so the engine
-    must *not* take the fast path for it; scoring over the columnar
-    trace and over a rebuilt record-by-record trace must agree.
+    :func:`prediction_accuracy` scores inside the columnar replay
+    (compiled or scalar); feeding the same requests one record object
+    at a time through ``handle()`` — the record oracle — must produce
+    the identical report.
     """
-    from repro.analysis.accuracy import prediction_accuracy
+    from repro.analysis.accuracy import AccuracyReport, prediction_accuracy
+    from repro.evaluation.tradeoff import DEFAULT_WARMUP_FRACTION
+    from repro.protocols.multicast import MulticastSnoopingProtocol
 
     trace = traces["barnes-hut"]
-    rebuilt = Trace(
-        list(trace), n_processors=trace.n_processors, name=trace.name
-    )
-    a = prediction_accuracy(trace, policy)
-    b = prediction_accuracy(rebuilt, policy)
-    assert a.predictions == b.predictions
-    assert a.coverage_pct == b.coverage_pct
-    assert a.precision_pct == b.precision_pct
-    assert a.outcomes == b.outcomes
+    columnar = prediction_accuracy(trace, policy)
+
+    config = SystemConfig()
+    protocol = MulticastSnoopingProtocol(config, policy)
+    records = _object_trace(trace)
+    n_warmup = int(len(records) * DEFAULT_WARMUP_FRACTION)
+    for record in records[:n_warmup]:
+        protocol.handle(record)
+    protocol.accuracy = AccuracyReport(policy=policy, workload=trace.name)
+    for record in records[n_warmup:]:
+        protocol.handle(record)
+
+    assert protocol.accuracy == columnar
+    assert columnar.predictions == len(records) - n_warmup

@@ -13,6 +13,7 @@ hook, so the worker dies while reliably holding a lease) and with the
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ import pytest
 
 from repro.experiment import ExperimentSpec, Runner
 from repro.fabric import FabricCoordinator, FabricWorker, make_server
+from repro.fabric.serve import MAX_BODY_BYTES
 from repro.fabric.worker import HOLD_ENV
 
 SPEC = ExperimentSpec(
@@ -232,3 +234,69 @@ class TestServeEndpoint:
         code, body = self._post(server, "/sweep", '{"kind": "nope"}')
         assert code == 400
         assert b"invalid spec" in body
+
+    # -- hostile bodies: raw sockets, so the request says exactly what
+    # the test means (urllib would fix up Content-Length) --------------
+    def _raw_post(self, server, headers, body=b""):
+        """Send one raw POST /sweep; return (status, body) of the reply.
+
+        The socket timeout turns a server that hangs on the request
+        into a test failure instead of a stuck suite.
+        """
+        port = server.server_address[1]
+        head = "POST /sweep HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        head += "".join(f"{name}: {value}\r\n" for name, value in headers)
+        head += "Connection: close\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head.encode("ascii") + body)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        assert reply, "connection dropped without a response"
+        status_line, _, rest = reply.partition(b"\r\n")
+        return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", ""])
+    def test_bad_content_length_400(self, server, length):
+        code, body = self._raw_post(server, [("Content-Length", length)])
+        assert code == 400
+        assert b"Content-Length" in body
+
+    def test_missing_content_length_400(self, server):
+        code, _ = self._raw_post(server, [])
+        assert code == 400
+
+    def test_oversized_body_413_without_reading(self, server, tmp_path):
+        # Only the headers are sent: a server that tried to read the
+        # declared body would block until the socket timeout.
+        code, body = self._raw_post(
+            server, [("Content-Length", str(MAX_BODY_BYTES + 1))]
+        )
+        assert code == 413
+        assert str(MAX_BODY_BYTES).encode("ascii") in body
+        assert FabricCoordinator(tmp_path).queue.pending_keys() == []
+
+    @pytest.mark.parametrize(
+        "payload", [b"[]", b"3", b'"spec"', b"null", b"\xff\xfe\x00", b""]
+    )
+    def test_non_object_body_400(self, server, payload):
+        code, body = self._raw_post(
+            server, [("Content-Length", str(len(payload)))], payload
+        )
+        assert code == 400
+        assert b"invalid spec" in body
+
+    def test_body_at_cap_is_read(self, server):
+        # A body of exactly MAX_BODY_BYTES is read and judged on its
+        # content (here: valid JSON whitespace-padded to the cap).
+        payload = SPEC.to_json().encode("ascii")
+        payload += b" " * (MAX_BODY_BYTES - len(payload))
+        code, body = self._raw_post(
+            server, [("Content-Length", str(len(payload)))], payload
+        )
+        assert code == 202
+        assert json.loads(body)["enqueued"] == SPEC.n_jobs

@@ -93,3 +93,55 @@ class TestPredictionAccuracy:
             warmup_fraction=0.5,
         )
         assert report.predictions == len(trace) // 2
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.1])
+    def test_warmup_fraction_out_of_range_rejected(self, fraction):
+        # A warm-up covering the whole trace would score nothing and
+        # report a vacuously perfect 100% coverage and precision.
+        with pytest.raises(ValueError, match=r"warmup_fraction"):
+            prediction_accuracy(
+                pingpong_trace(), "owner", predictor_config=UNBOUNDED,
+                warmup_fraction=fraction,
+            )
+
+    def test_protocol_scores_nothing_by_default(self):
+        from repro.protocols.multicast import MulticastSnoopingProtocol
+
+        protocol = MulticastSnoopingProtocol(
+            SystemConfig(n_processors=16), "owner", UNBOUNDED
+        )
+        assert protocol.accuracy is None
+        protocol.run(pingpong_trace())
+        assert protocol.accuracy is None
+
+
+class TestScore:
+    """The shared mask helper behind every scoring path."""
+
+    @pytest.mark.parametrize(
+        "extras, need, outcome",
+        [
+            (0b0000, 0b0000, PredictionOutcome.TRIVIAL),
+            (0b0110, 0b0110, PredictionOutcome.EXACT),
+            (0b0111, 0b0110, PredictionOutcome.OVER),
+            (0b0100, 0b0000, PredictionOutcome.OVER),
+            (0b0100, 0b0110, PredictionOutcome.UNDER),
+            (0b0000, 0b0010, PredictionOutcome.UNDER),
+            (0b1100, 0b0110, PredictionOutcome.MIXED),
+        ],
+    )
+    def test_outcome_classes(self, extras, need, outcome):
+        report = AccuracyReport(policy="x", workload="y")
+        report.score(extras, need)
+        assert report.outcomes[outcome] == 1
+        assert sum(report.outcomes.values()) == 1
+
+    def test_counters_and_batch_fold_agree(self):
+        scored = AccuracyReport(policy="x", workload="y")
+        scored.score(0b1100, 0b0110)
+        scored.score(1 << 127, 1 << 127 | 1 << 64)
+        folded = AccuracyReport(policy="x", workload="y")
+        # predictions, required, covered, extra, then the five classes.
+        folded.add_counts(2, 4, 2, 3, 0, 0, 0, 1, 1)
+        assert scored == folded
+        assert scored.covered_nodes == scored.useful_extra_nodes == 2

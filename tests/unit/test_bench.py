@@ -25,6 +25,7 @@ class TestBenchSuite:
         assert "fig5_tradeoff" in names
         assert "protocol_directory" in names
         assert "timing_runtime" in names
+        assert "accuracy_sweep" in names
         assert "timing_constrained_bw" in names
         for entry in report["benchmarks"]:
             assert entry["records"] > 0
