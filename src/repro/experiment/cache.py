@@ -28,14 +28,13 @@ from repro.cache.pipeline import CollectionResult
 from repro.common.atomicio import tmp_sibling, write_text_atomic
 from repro.common.params import PredictorConfig, SystemConfig
 from repro.evaluation.corpus import TraceCorpus
-from repro.trace.io import (
-    read_trace,
-    read_trace_binary,
-    read_trace_v2,
-    write_trace,
-    write_trace_binary,
-    write_trace_v2,
-)
+from repro.trace.io import read_trace_v2, write_trace_v2
+
+# The store writes only ``.bin2``, but these two writers stay bound
+# here: the whole-paper benchmark's traced run wraps them by name in
+# this module's namespace (its ``store.write_trace``/``store.write_bin``
+# spans, which therefore read zero) and fails on a missing attribute.
+from repro.trace.io import write_trace, write_trace_binary  # noqa: F401
 
 #: Bump when the on-disk layout or trace semantics change.
 #: Format 2: traces come from the chunked (columnar) generation
@@ -120,15 +119,16 @@ class CacheStats:
 class TraceCache:
     """Content-addressed trace storage under one directory.
 
-    Each entry is a ``<key>.trace`` file in the standard text format
-    plus a ``<key>.json`` sidecar holding the collection counters and
-    the human-readable key fields (for inspection and debugging), a
-    ``<key>.bin`` binary sidecar, and a ``<key>.bin2`` v2 columnar
-    sidecar served zero-copy via ``mmap`` (the preferred load path;
-    fallback chain ``.bin2 → .bin → .trace``, with missing sidecars
-    healed on the next load).  Writes go through a temporary file and
-    :func:`os.replace`, so concurrent workers storing the same key
-    race benignly.
+    Each entry is two files: ``<key>.bin2``, the v2 columnar trace
+    served zero-copy via ``mmap`` (see :func:`read_trace_v2`), and a
+    ``<key>.json`` sidecar holding the collection counters and the
+    human-readable key fields (for inspection and debugging).  An
+    entry whose ``.bin2`` is missing, torn, truncated, or otherwise
+    rejected by the loader is a miss: :class:`PersistentTraceCorpus`
+    regenerates the trace and stores the entry again, which heals it
+    (the content is deterministic, so the rewrite is byte-identical).
+    Writes go through a temporary file and :func:`os.replace`, so
+    concurrent workers storing the same key race benignly.
 
     ``derived`` configures which derived replay columns the v2
     sidecar persists (see :func:`derived_config`); None writes base
@@ -177,36 +177,30 @@ class TraceCache:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:24]
 
     def _paths(self, key: str) -> tuple:
-        return (
-            self.root / f"{key}.trace",
-            self.root / f"{key}.json",
-            self.root / f"{key}.bin",
-            self.root / f"{key}.bin2",
-        )
+        return self.root / f"{key}.json", self.root / f"{key}.bin2"
 
     # ------------------------------------------------------------------
     def load(self, key: str) -> Optional[CollectionResult]:
-        """The stored collection for ``key``, or None (counts stats)."""
-        trace_path, meta_path, binary_path, v2_path = self._paths(key)
+        """The stored collection for ``key``, or None (counts stats).
+
+        An entry the loader rejects — missing files, a torn,
+        truncated or foreign-byteorder ``.bin2``, an unparsable or
+        malformed sidecar — is a miss, never an exception.
+        """
+        meta_path, v2_path = self._paths(key)
         try:
             meta = json.loads(meta_path.read_text(encoding="ascii"))
-            # Fallback chain .bin2 → .bin → .trace: the v2 sidecar is
-            # served zero-copy over mmap (same-host workers share the
-            # page cache); the binary sidecar loads the columns
-            # verbatim; the text format is the trusted last resort
-            # (write_trace produced it).  A missing/torn sidecar is
-            # healed from whichever slower tier succeeded, so the next
-            # load takes the fast path again.
-            try:
-                trace = read_trace_v2(v2_path)
-            except (OSError, ValueError):
-                try:
-                    trace = read_trace_binary(binary_path)
-                except (OSError, ValueError):
-                    trace = read_trace(trace_path, trusted=True)
-                    self._heal_binary(trace, binary_path)
-                self._heal_v2(trace, v2_path)
-        except (OSError, ValueError, KeyError):
+            if not isinstance(meta, dict) or not isinstance(
+                meta.get("instructions"), dict
+            ):
+                raise ValueError(f"{meta_path}: malformed sidecar")
+            trace = read_trace_v2(v2_path)
+            instructions = {
+                int(node): count
+                for node, count in meta["instructions"].items()
+            }
+            references = meta["references"]
+        except (OSError, ValueError, KeyError, RecursionError):
             with self._stats_lock:
                 self.stats.misses += 1
             return None
@@ -214,41 +208,9 @@ class TraceCache:
             self.stats.hits += 1
         return CollectionResult(
             trace=trace,
-            instructions={
-                int(node): count
-                for node, count in meta["instructions"].items()
-            },
-            references=meta["references"],
+            instructions=instructions,
+            references=references,
         )
-
-    def _heal_binary(self, trace, binary_path) -> None:
-        """Best-effort rewrite of a missing/stale binary sidecar.
-
-        Sidecars are derived data (e.g. not shipped with a committed
-        corpus, or dropped by an old cache); the first text-format
-        load regenerates one so subsequent loads take the fast path.
-        """
-        tmp = tmp_sibling(binary_path)
-        try:
-            write_trace_binary(trace, tmp)
-            os.replace(tmp, binary_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def _heal_v2(self, trace, v2_path) -> None:
-        """Best-effort rewrite of a missing/stale/torn v2 sidecar."""
-        tmp = tmp_sibling(v2_path)
-        try:
-            write_trace_v2(trace, tmp, self.derived)
-            os.replace(tmp, v2_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     def store(
         self,
@@ -258,7 +220,7 @@ class TraceCache:
     ) -> None:
         """Persist ``result`` under ``key`` (atomically)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        trace_path, meta_path, binary_path, v2_path = self._paths(key)
+        meta_path, v2_path = self._paths(key)
         meta = {
             "instructions": {
                 str(node): count
@@ -267,34 +229,31 @@ class TraceCache:
             "references": result.references,
             "describe": describe or {},
         }
-        tmp_trace = tmp_sibling(trace_path)
-        tmp_binary = tmp_sibling(binary_path)
         tmp_v2 = tmp_sibling(v2_path)
         try:
-            write_trace(result.trace, tmp_trace)
-            write_trace_binary(result.trace, tmp_binary)
             write_trace_v2(result.trace, tmp_v2, self.derived)
-            # Trace columns first: a reader needs trace + sidecar, and
-            # load() opens the JSON sidecar before the trace files, so
-            # a concurrent reader either misses (regenerates, benign)
-            # or sees a complete entry — never a torn one.
+            # Trace columns first: load() opens the JSON sidecar before
+            # the trace, so a concurrent reader either misses
+            # (regenerates, benign) or sees a complete entry — never a
+            # torn one.
             os.replace(tmp_v2, v2_path)
-            os.replace(tmp_binary, binary_path)
-            os.replace(tmp_trace, trace_path)
             write_text_atomic(meta_path, json.dumps(meta, sort_keys=True))
         finally:
-            for leftover in (tmp_trace, tmp_binary, tmp_v2):
-                try:
-                    os.unlink(leftover)
-                except OSError:
-                    pass
+            try:
+                os.unlink(tmp_v2)
+            except OSError:
+                pass
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number of files removed."""
+        """Delete every cache entry; returns the number of files removed.
+
+        Leftover ``.trace``/``.bin`` files that older stores wrote per
+        entry (never read now) go too.
+        """
         removed = 0
         if self.root.is_dir():
             for path in self.root.iterdir():
-                if path.suffix in (".trace", ".json", ".bin", ".bin2"):
+                if path.suffix in (".json", ".bin2", ".trace", ".bin"):
                     path.unlink()
                     removed += 1
         return removed

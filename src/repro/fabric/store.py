@@ -2,7 +2,7 @@
 
 One JSON artifact per executed cell, named by the cell's content key
 (:meth:`ExperimentSpec.cell_key`) — the sweep-result analogue of the
-trace cache's ``<key>.trace``/``<key>.bin`` entries, with the same
+trace cache's ``<key>.bin2``/``<key>.json`` entries, with the same
 write discipline: every artifact is published via tmp-file +
 ``os.replace`` (:mod:`repro.common.atomicio`), so concurrent workers
 storing the same key race benignly and readers never see a torn file
@@ -10,9 +10,9 @@ under a final name.
 
 Reads *validate* before trusting: an artifact that fails to parse or
 carries the wrong format/key is treated as a miss and healed by
-unlinking it (the ``_heal_binary`` pattern from the trace cache), so
-a corrupted shared mount degrades to recomputation, never to wrong
-results.
+unlinking it — as the trace cache turns a rejected entry into a miss
+that is regenerated — so a corrupted shared mount degrades to
+recomputation, never to wrong results.
 """
 
 from __future__ import annotations

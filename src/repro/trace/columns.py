@@ -23,6 +23,7 @@ column-level selection is one layer of.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import List, NamedTuple, Optional
 
 #: Environment variable that force-disables the numpy backend
@@ -114,7 +115,8 @@ class DerivedColumns(NamedTuple):
     """Per-record derived columns for one protocol configuration.
 
     All fields are plain Python lists (pre-boxed ints), identical
-    across backends:
+    across backends (:func:`derived_buffers` returns the same tuple
+    of flat int64 buffers instead):
 
     - ``blocks`` — block-aligned addresses,
     - ``keys`` — predictor table index keys (PC or ``address //
@@ -135,6 +137,59 @@ class DerivedColumns(NamedTuple):
     notreqs: List[int]
 
 
+def _numpy_lanes(addresses, requesters, n_processors: int) -> bool:
+    """Whether the numpy tier can build these columns in int64 lanes."""
+    return (
+        _np is not None
+        and n_processors <= _MAX_NUMPY_NODES
+        and addresses.itemsize == 8
+        and requesters.itemsize == 4
+    )
+
+
+def derived_buffers(
+    addresses,
+    pcs,
+    requesters,
+    block_size: int,
+    n_processors: int,
+    key_granularity: Optional[int] = None,
+    use_pc_index: bool = False,
+) -> DerivedColumns:
+    """Every derived replay column as a flat int64 buffer.
+
+    The unboxed form of :func:`derived_columns` (same fields, same
+    values): numpy int64 arrays under the numpy tier, ``array('q')``
+    otherwise.  Consumers that only need the bytes — the v2 trace
+    store writer — take these directly instead of boxing every value
+    into a list first.  Bitmask columns need ``n_processors <= 62``;
+    the ``array('q')`` form raises ``OverflowError`` for any value
+    outside int64.
+    """
+    if not _numpy_lanes(addresses, requesters, n_processors):
+        return DerivedColumns(*(
+            None if column is None else array("q", column)
+            for column in derived_columns(
+                addresses, pcs, requesters, block_size, n_processors,
+                key_granularity, use_pc_index,
+            )
+        ))
+    addr = _np.frombuffer(addresses, dtype=_np.int64)
+    blocks = addr & _np.int64(~(block_size - 1))
+    homes = (blocks >> (block_size.bit_length() - 1)) % n_processors
+    reqbits = _np.int64(1) << _np.frombuffer(
+        requesters, dtype=_np.int32
+    ).astype(_np.int64)
+    minimals = reqbits | (_np.int64(1) << homes)
+    if use_pc_index:
+        keys = _np.asarray(pcs, dtype=_np.int64)
+    elif key_granularity is not None:
+        keys = addr // key_granularity
+    else:
+        keys = None
+    return DerivedColumns(blocks, keys, homes, minimals, reqbits, ~reqbits)
+
+
 def derived_columns(
     addresses,
     pcs,
@@ -147,39 +202,21 @@ def derived_columns(
     """Build every derived replay column for one configuration at once.
 
     ``addresses``/``pcs``/``requesters`` are the trace's flat
-    ``array`` columns.  Vectorized end-to-end under numpy; the pure
-    fallback produces identical lists.
+    ``array`` columns.  Vectorized end-to-end under numpy (boxing the
+    :func:`derived_buffers` arrays); the pure fallback produces
+    identical lists.
     """
+    if _numpy_lanes(addresses, requesters, n_processors):
+        return DerivedColumns(*(
+            None if column is None else column.tolist()
+            for column in derived_buffers(
+                addresses, pcs, requesters, block_size, n_processors,
+                key_granularity, use_pc_index,
+            )
+        ))
+
     block_shift = block_size.bit_length() - 1
     n = n_processors
-    if (
-        _np is not None
-        and n <= _MAX_NUMPY_NODES
-        and addresses.itemsize == 8
-        and requesters.itemsize == 4
-    ):
-        addr = _np.frombuffer(addresses, dtype=_np.int64)
-        blocks = addr & _np.int64(~(block_size - 1))
-        homes = (blocks >> block_shift) % n
-        reqbits = _np.int64(1) << _np.frombuffer(
-            requesters, dtype=_np.int32
-        ).astype(_np.int64)
-        minimals = reqbits | (_np.int64(1) << homes)
-        if use_pc_index:
-            keys = list(pcs)
-        elif key_granularity is not None:
-            keys = (addr // key_granularity).tolist()
-        else:
-            keys = None
-        return DerivedColumns(
-            blocks.tolist(),
-            keys,
-            homes.tolist(),
-            minimals.tolist(),
-            reqbits.tolist(),
-            (~reqbits).tolist(),
-        )
-
     mask = ~(block_size - 1)
     blocks_list = [a & mask for a in addresses]
     homes_list = [(b >> block_shift) % n for b in blocks_list]
@@ -240,8 +277,6 @@ def aligned_list(addresses, block_size: int) -> List[int]:
 
 def aligned_array(addresses, block_size: int, typecode: str):
     """Aligned addresses as a stdlib ``array`` (the legacy key API)."""
-    from array import array
-
     if _np is not None and addresses.itemsize == 8:
         aligned = _np.frombuffer(
             addresses, dtype=_np.int64

@@ -9,29 +9,29 @@ diffable and greppable::
 One record per line; the optional fifth field is the instruction gap
 since the requester's previous miss.  Comment lines start with ``#``.
 
-Parsing writes straight into the trace's columns.  Field validation is
-on by default for user-supplied files; internal callers that read files
-they wrote themselves (the persistent trace cache) pass
-``trusted=True`` to skip the per-record range checks.
+This is the export format (``repro collect --out``) and the CLI's
+``.trace`` input.  Parsing writes straight into the trace's columns.
+Field validation is on by default for user-supplied files; callers
+that read files they wrote themselves pass ``trusted=True`` to skip
+the per-record range checks.
 
-A binary companion format (:func:`write_trace_binary` /
+A v1 binary format (:func:`write_trace_binary` /
 :func:`read_trace_binary`) dumps the trace's flat columns verbatim
-behind a JSON header.  Loading it is two orders of magnitude faster
-than parsing text — the persistent trace cache stores both, so
-per-label sweep cells (which each load their trace) pay milliseconds,
-not a re-parse, while the text file stays diffable and greppable.
+behind a JSON header.  The trace cache does not store it: it is the
+copying baseline the ``trace_load_binary`` bench entry prices v2
+loads against.
 
 The v2 columnar container (:func:`write_trace_v2` /
-:func:`read_trace_v2`, the ``.bin2`` sidecar) goes further: a JSON
-header carries an explicit offset table and every column lives in its
-own 64-byte-aligned raw segment, so loads are *zero-copy* — the file
-is ``mmap``-ed and each column becomes a read-only ``memoryview``
-over the mapping (see :meth:`Trace.frozen`).  Alongside the five base
-columns it persists the derived replay columns
-(:mod:`repro.trace.columns` otherwise recomputes them per process):
-block/macroblock keys, predictor index keys, home nodes, and the
-minimal/requester/not-requester bitmasks for one reference
-configuration.  Because mappings share the OS page cache, every
+:func:`read_trace_v2`, the ``.bin2`` file) is the persistent trace
+cache's one encoding.  A JSON header carries an explicit offset table
+and every column lives in its own 64-byte-aligned raw segment, so
+loads are *zero-copy* — the file is ``mmap``-ed and each column
+becomes a read-only ``memoryview`` over the mapping (see
+:meth:`Trace.frozen`).  Alongside the five base columns it persists
+the derived replay columns (:mod:`repro.trace.columns` otherwise
+recomputes them per process): block/macroblock keys, predictor index
+keys, home nodes, and the minimal/requester/not-requester bitmasks
+for one reference configuration.  Because mappings share the OS page cache, every
 same-host worker replaying one corpus holds a single physical copy.
 Set ``REPRO_MMAP=0`` to fall back to copying loads (byte-identical
 results; the columns are then views over a private ``bytes`` copy).
@@ -46,6 +46,7 @@ import sys
 from array import array
 from typing import Optional, Union
 
+from repro.trace import columns as _columns
 from repro.trace.trace import Trace
 
 _HEADER_PREFIX = "# repro-trace v1"
@@ -148,9 +149,8 @@ def write_trace_binary(trace: Trace, path: PathLike) -> None:
 def read_trace_binary(path: PathLike) -> Trace:
     """Read a trace written by :func:`write_trace_binary`.
 
-    Raises ``ValueError`` for malformed files or layout mismatches
-    (callers fall back to the text format).  Binary loads are trusted:
-    only this package writes the format.
+    Raises ``ValueError`` for malformed files or layout mismatches.
+    Binary loads are trusted: only this package writes the format.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_BINARY_MAGIC))
@@ -224,30 +224,30 @@ def _align_v2(offset: int) -> int:
     return (offset + _V2_ALIGNMENT - 1) & ~(_V2_ALIGNMENT - 1)
 
 
-def _derived_arrays(trace: Trace, derived: dict) -> "Optional[dict]":
-    """The derived replay columns as int64 arrays, or None if any
-    value falls outside an int64 segment (base columns still persist).
+def _derived_buffers(trace: Trace, derived: dict) -> "Optional[dict]":
+    """The derived replay columns as flat int64 buffers, or None if
+    any value falls outside an int64 segment (base columns still
+    persist).
+
+    Built straight from the base columns (numpy arrays or
+    ``array('q')``, see :func:`repro.trace.columns.derived_buffers`),
+    never through the trace's memoized boxed lists: writing a store
+    entry leaves no per-record Python ints behind on the trace.
     """
     n = derived["n_processors"]
     if n > _MAX_DERIVED_NODES:
         return None
-    columns = trace.derived_columns(
-        derived["block_size"], n, derived["index_granularity"], False
-    )
     try:
-        return {
-            "blocks": array("q", columns.blocks),
-            "mblocks": array(
-                "q", trace.block_keys(derived["macroblock_size"])
-            ),
-            "keys": array("q", columns.keys),
-            "homes": array("q", columns.homes),
-            "minimals": array("q", columns.minimals),
-            "reqbits": array("q", columns.reqbits),
-            "notreqs": array("q", columns.notreqs),
-        }
+        columns = _columns.derived_buffers(
+            trace.addresses, trace.pcs, trace.requesters,
+            derived["block_size"], n, derived["index_granularity"],
+        )
+        mblocks = _columns.aligned_array(
+            trace.addresses, derived["macroblock_size"], "q"
+        )
     except OverflowError:
         return None
+    return dict(columns._asdict(), mblocks=mblocks)
 
 
 def write_trace_v2(
@@ -270,8 +270,8 @@ def write_trace_v2(
     ]
     derived_header = None
     if derived is not None:
-        arrays = _derived_arrays(trace, derived)
-        if arrays is not None:
+        buffers = _derived_buffers(trace, derived)
+        if buffers is not None:
             derived_header = {
                 "block_size": derived["block_size"],
                 "macroblock_size": derived["macroblock_size"],
@@ -279,7 +279,7 @@ def write_trace_v2(
                 "index_granularity": derived["index_granularity"],
             }
             segments += [
-                (name, "q", arrays[name])
+                (name, "q", buffers[name])
                 for name in _V2_DERIVED_SEGMENTS
             ]
     records = len(trace)
@@ -325,8 +325,8 @@ def write_trace_v2(
         for (_, _, column), entry in zip(segments, offsets):
             _, _, _, offset, nbytes = entry
             handle.write(bytes(offset - position))
-            payload = memoryview(column).tobytes()
-            if len(payload) != nbytes:  # pragma: no cover - invariant
+            payload = memoryview(column)
+            if payload.nbytes != nbytes:  # pragma: no cover - invariant
                 raise ValueError("segment size mismatch while writing")
             handle.write(payload)
             position = offset + nbytes
@@ -342,8 +342,8 @@ def read_trace_v2(path: PathLike) -> Trace:
     *frozen* — mutation first materializes private columns
     (:class:`Trace` copy-on-write), so the store is never written
     through.  Raises ``ValueError`` for malformed, torn, truncated,
-    or foreign-byteorder files (callers fall back to ``.bin`` /
-    ``.trace``).
+    or foreign-byteorder files: the trace cache counts such an entry
+    as a miss, so it is rejected and regenerated.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -370,7 +370,7 @@ def read_trace_v2(path: PathLike) -> Trace:
         byteorder = header["byteorder"]
         segments = header["segments"]
         derived_header = header["derived"]
-    except (KeyError, TypeError, UnicodeDecodeError,
+    except (KeyError, TypeError, UnicodeDecodeError, RecursionError,
             json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: bad v2 header ({exc})")
     if (
@@ -386,8 +386,8 @@ def read_trace_v2(path: PathLike) -> Trace:
     if byteorder != sys.byteorder:
         raise ValueError(
             f"{path}: byteorder {byteorder!r} does not match this "
-            f"platform ({sys.byteorder}); falling back to the "
-            f"byte-swapping loader"
+            f"platform ({sys.byteorder}); the entry is rejected "
+            f"and regenerated"
         )
 
     base_names = [name_ for name_, _ in _BINARY_COLUMNS]
@@ -407,15 +407,14 @@ def read_trace_v2(path: PathLike) -> Trace:
     # up front, not discovered column-by-column.
     end = len(_V2_MAGIC) + newline + 1
     views = {}
-    if [entry[0] for entry in segments] != expected_names:
+    if not all(
+        isinstance(entry, list)
+        and len(entry) == 5
+        and all(isinstance(field, int) for field in entry[2:])
+        for entry in segments
+    ) or [entry[0] for entry in segments] != expected_names:
         raise ValueError(f"{path}: bad v2 segment table")
     for entry in segments:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 5
-            and all(isinstance(field, int) for field in entry[2:])
-        ):
-            raise ValueError(f"{path}: bad v2 segment table")
         seg_name, typecode, itemsize, offset, nbytes = entry
         expected_code = typecodes.get(seg_name, "q")
         if (

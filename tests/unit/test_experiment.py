@@ -376,7 +376,7 @@ class TestTraceCache:
     def test_clear(self, tmp_path):
         corpus = PersistentTraceCorpus(cache_dir=tmp_path)
         corpus.collect("ocean", 2000)
-        assert corpus.disk.clear() == 4  # .trace + .json + .bin + .bin2
+        assert corpus.disk.clear() == 2  # .bin2 + .json
         assert corpus.disk.load(
             TraceCache.key("ocean", 2000, 42, corpus.config)
         ) is None

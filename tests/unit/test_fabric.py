@@ -280,37 +280,6 @@ class TestTraceCacheHealing:
         )
         return corpus, key
 
-    def test_torn_binary_sidecar_heals_from_text(self, tmp_path):
-        _, key = self._store_one(tmp_path)
-        binary = tmp_path / f"{key}.bin"
-        original = binary.read_bytes()
-        binary.write_bytes(original[: len(original) // 2])
-        # Tear the v2 sidecar too, or the load never reaches .bin.
-        (tmp_path / f"{key}.bin2").write_bytes(b"#repro-trace-bin v2\n")
-
-        cache = TraceCache(tmp_path)
-        result = cache.load(key)
-        assert result is not None  # text fallback
-        assert cache.stats.hits == 1
-        assert binary.read_bytes() == original  # healed
-
-    def test_torn_v2_sidecar_heals_from_binary(self, tmp_path):
-        _, key = self._store_one(tmp_path)
-        v2 = tmp_path / f"{key}.bin2"
-        original = v2.read_bytes()
-        v2.write_bytes(original[: len(original) // 2])
-
-        from repro.experiment.cache import derived_config
-        from repro.common.params import SystemConfig
-
-        cache = TraceCache(
-            tmp_path, derived=derived_config(SystemConfig())
-        )
-        result = cache.load(key)
-        assert result is not None  # .bin fallback
-        assert cache.stats.hits == 1
-        assert v2.read_bytes() == original  # healed byte-identically
-
     def test_torn_meta_is_a_miss(self, tmp_path):
         _, key = self._store_one(tmp_path)
         (tmp_path / f"{key}.json").write_text('{"instructions"')

@@ -250,16 +250,3 @@ class TestBinaryTraceFormat:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError, match="truncated"):
             read_trace_binary(path)
-
-    def test_cache_prefers_binary_but_survives_without(self, tmp_path):
-        from repro.experiment import PersistentTraceCorpus
-
-        corpus = PersistentTraceCorpus(cache_dir=tmp_path)
-        first = corpus.collect("ocean", 1500, seed=3)
-        # Remove the binary sidecar: the text fallback must still hit.
-        for path in tmp_path.glob("*.bin"):
-            path.unlink()
-        warm = PersistentTraceCorpus(cache_dir=tmp_path)
-        second = warm.collect("ocean", 1500, seed=3)
-        assert warm.cache_stats.hits == 1
-        assert list(second.trace) == list(first.trace)
