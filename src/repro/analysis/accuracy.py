@@ -20,8 +20,9 @@ Scoring happens inside the replay that makes the predictions: a
 ``accuracy`` attribute holds a report scores every request it replays
 into it.  The record path (``_handle``) and the scalar columnar path
 (``_handle_fast``) both call :meth:`AccuracyReport.score`; the
-compiled ``policy_replay`` kernel accumulates the same counters in C
-and folds them in through :meth:`AccuracyReport.add_counts`.  The
+compiled replay (``_native.ReplaySession``) accumulates the same
+counters in C and folds them in through
+:meth:`AccuracyReport.add_counts`.  The
 Python fused tiers never score — a scored run that the native tier
 declines takes the scalar loop.
 """

@@ -144,6 +144,37 @@ class GlobalCoherenceState:
         """Number of blocks with non-default state."""
         return len(self._blocks)
 
+    def check_invariants(self) -> None:
+        """Check the MOSI invariants on every tracked block.
+
+        Each block has a single owner, memory (``MEMORY_NODE``) or one
+        processor below ``n``; an owning processor is not also listed
+        among the sharers; and the sharer mask names only processors
+        below ``n``.  Raises :class:`AssertionError` naming the first
+        offending block (unconditionally, not via ``assert``).
+        """
+        n = self._n
+        for block, entry in self._blocks.items():
+            if type(entry) is not tuple or len(entry) != 2:
+                raise AssertionError(
+                    f"block {block:#x}: malformed state {entry!r}"
+                )
+            owner, sharers = entry
+            if not MEMORY_NODE <= owner < n:
+                raise AssertionError(
+                    f"block {block:#x}: owner {owner} is not memory or "
+                    f"one of {n} processors"
+                )
+            if sharers < 0 or sharers >> n:
+                raise AssertionError(
+                    f"block {block:#x}: sharer mask {sharers:#x} exceeds "
+                    f"{n} bits"
+                )
+            if owner >= 0 and sharers >> owner & 1:
+                raise AssertionError(
+                    f"block {block:#x}: owner {owner} is also a sharer"
+                )
+
     # ------------------------------------------------------------------
     def apply_fast(
         self, block: Address, requester: NodeId, is_getx: int

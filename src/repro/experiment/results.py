@@ -53,11 +53,19 @@ class PerfStats:
     backend: str = ""
     #: Native-kernel declines observed during the run, keyed
     #: ``"<kernel>:<reason>"`` (see
-    #: :func:`repro.kernels.decline_counts`).  Empty on the Python
-    #: backends, and for parallel sweeps (workers count in their own
-    #: processes).  A nonzero tally explains a native run executing at
-    #: Python-tier speed.
+    #: :func:`repro.kernels.decline_counts`), under every executor
+    #: (process-pool workers report theirs per cell).  Empty on the
+    #: Python backends.  A nonzero tally explains a native run
+    #: executing at Python-tier speed.
     native_declines: Dict[str, int] = dataclasses.field(
+        default_factory=dict
+    )
+    #: Nanoseconds the native replay sessions spent per phase —
+    #: ``marshal_ns``, ``compute_ns``, ``writeback_ns`` (see
+    #: :func:`repro.kernels.phase_totals`), summed over every cell.
+    #: Empty when no native replay ran.  Write-back stays 0 unless
+    #: something read the replay state back into Python.
+    native_phases: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
 
@@ -81,6 +89,16 @@ class PerfStats:
                 for key, count in sorted(self.native_declines.items())
             )
             text += f"\nnative kernel declines: {tallies}"
+        if any(self.native_phases.values()):
+            phases = ", ".join(
+                f"{label} {self.native_phases.get(key, 0) / 1e6:,.1f} ms"
+                for key, label in (
+                    ("marshal_ns", "marshal"),
+                    ("compute_ns", "compute"),
+                    ("writeback_ns", "write-back"),
+                )
+            )
+            text += f"\nnative replay phases: {phases}"
         return text
 
 

@@ -287,28 +287,58 @@ def normalize_records(
     return _normalize_runtime_records(spec, records)
 
 
+def _reset_native_tallies() -> None:
+    _kernels.reset_decline_counts()
+    _kernels.reset_phase_totals()
+
+
+def _native_tallies() -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The native decline and phase tallies since the last reset (an
+    empty phase dict when no native replay ran)."""
+    phases = _kernels.phase_totals()
+    return _kernels.decline_counts(), phases if any(phases.values()) else {}
+
+
+def _merge_counts(total: Dict[str, int], part: Dict[str, int]) -> None:
+    for key, count in part.items():
+        total[key] = total.get(key, 0) + count
+
+
 def _run_job_worker(
     spec_dict: dict, index: int, cache_dir: Optional[str]
-) -> Tuple[int, List[dict], int, Optional[dict]]:
-    """Process-pool entry point (module-level, hence picklable)."""
+) -> Tuple[
+    int, List[dict], int, Optional[dict], Dict[str, int], Dict[str, int]
+]:
+    """Process-pool entry point (module-level, hence picklable).
+
+    Returns the cell's own native decline and phase tallies too: a
+    worker process counts in its own copy of them, so the parent
+    merges what each cell reports.
+    """
     spec = ExperimentSpec.from_dict(spec_dict)
     corpus = make_corpus(spec.system_config, cache_dir)
+    _reset_native_tallies()
     records, processed, failure = run_cell(
         spec, spec.expand()[index], corpus
     )
+    declines, phases = _native_tallies()
     return (
         index,
         [r.to_dict() for r in records],
         processed,
         dataclasses.asdict(failure) if failure is not None else None,
+        declines,
+        phases,
     )
 
 
 def _warm_trace_worker(
     spec_dict: dict, workload: str, seed: int, cache_dir: str
-) -> Dict[str, int]:
+) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Ensure one (workload, seed) trace is in the disk cache.
 
+    Returns the corpus' cache counters and the native declines of the
+    collection (a collector decline happens here, not in the cells).
     A generation failure here is swallowed: the label cells that need
     the trace will hit the same error and report it through the
     graceful per-cell path, instead of the warm phase aborting the
@@ -316,12 +346,13 @@ def _warm_trace_worker(
     """
     spec = ExperimentSpec.from_dict(spec_dict)
     corpus = make_corpus(spec.system_config, cache_dir)
+    _reset_native_tallies()
     try:
         corpus.trace(workload, spec.n_references, seed)
     except Exception:  # noqa: BLE001 - the cells re-raise and report
         pass
     assert isinstance(corpus, PersistentTraceCorpus)
-    return corpus.cache_stats.to_dict()
+    return corpus.cache_stats.to_dict(), _kernels.decline_counts()
 
 
 class Runner:
@@ -406,7 +437,7 @@ class Runner:
         failures: List[CellFailure] = []
         processed = 0
         started = time.perf_counter()
-        _kernels.reset_decline_counts()
+        _reset_native_tallies()
         for job in jobs:
             job_records, job_processed, failure = run_cell(
                 spec, job, corpus
@@ -424,7 +455,7 @@ class Runner:
             spec, records, stats,
             PerfStats(
                 processed, elapsed, _backend.backend_name(),
-                _kernels.decline_counts(),
+                *_native_tallies(),
             ),
             failures=failures,
         )
@@ -448,7 +479,7 @@ class Runner:
         failures_by_index: Dict[int, CellFailure] = {}
         processed = 0
         started = time.perf_counter()
-        _kernels.reset_decline_counts()
+        _reset_native_tallies()
         cells = []  # unique (workload, seed), canonical order
         for job in jobs:
             if (job.workload, job.seed) not in cells:
@@ -492,14 +523,12 @@ class Runner:
         stats = CacheStats()
         if isinstance(corpus, PersistentTraceCorpus):
             stats.merge(corpus.cache_stats)
-        # Threads share the process-wide decline tally (now
-        # lock-guarded), so unlike the process pool this parallel
-        # path reports native declines exactly like the serial one.
+        # Threads share the process-wide (lock-guarded) tallies.
         return ResultSet(
             spec, records, stats,
             PerfStats(
                 processed, elapsed, _backend.backend_name(),
-                _kernels.decline_counts(),
+                *_native_tallies(),
             ),
             failures=failures,
         )
@@ -527,6 +556,8 @@ class Runner:
         by_index: Dict[int, List[ResultRecord]] = {}
         failures_by_index: Dict[int, CellFailure] = {}
         stats = CacheStats()
+        declines: Dict[str, int] = {}
+        phases: Dict[str, int] = {}
         processed = 0
         started = time.perf_counter()
         cells = []  # unique (workload, seed), canonical order
@@ -547,7 +578,9 @@ class Runner:
                 for workload, seed in cells
             ]
             for future in concurrent.futures.as_completed(warm):
-                stats.merge(CacheStats(**future.result()))
+                cache_counts, warm_declines = future.result()
+                stats.merge(CacheStats(**cache_counts))
+                _merge_counts(declines, warm_declines)
             # Phase 2: the per-label cells (cache hits by now).
             futures = [
                 pool.submit(
@@ -556,9 +589,12 @@ class Runner:
                 for job in jobs
             ]
             for future in concurrent.futures.as_completed(futures):
-                index, record_dicts, job_processed, failure = (
-                    future.result()
-                )
+                (
+                    index, record_dicts, job_processed, failure,
+                    job_declines, job_phases,
+                ) = future.result()
+                _merge_counts(declines, job_declines)
+                _merge_counts(phases, job_phases)
                 by_index[index] = [
                     ResultRecord.from_dict(r) for r in record_dicts
                 ]
@@ -573,11 +609,12 @@ class Runner:
             if job.index in failures_by_index:
                 failures.append(failures_by_index[job.index])
         records = _normalize_runtime_records(spec, records)
-        # Worker processes keep their own decline tallies; only the
-        # serial path can report them (PerfStats.native_declines stays
-        # empty here by design).
         return ResultSet(
-            spec, records, stats, PerfStats(processed, elapsed, _backend.backend_name()),
+            spec, records, stats,
+            PerfStats(
+                processed, elapsed, _backend.backend_name(), declines,
+                phases,
+            ),
             failures=failures,
         )
 

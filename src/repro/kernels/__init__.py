@@ -13,26 +13,29 @@ one without either side knowing about the other:
 - config scalars: node count, block/granularity shifts, predictor
   tuning (counter max/threshold/rollover), Table 4 latencies, traffic
   byte sizes — plain ints and floats;
-- mutable simulation state at the boundary: the MOSI block map
-  (``dict[block] -> (owner, sharers)``), predictor tables
-  (:class:`repro.predictors.base.PredictorTable` flat dicts or the
-  sticky-spatial ``_entries`` dicts), cache set arrays, per-node
-  clocks and in-flight heaps.
+- mutable simulation state at the boundary: cache set arrays,
+  per-node clocks and in-flight heaps.  The replay state — the MOSI
+  block map (``dict[block] -> (owner, sharers)``) and the predictor
+  tables (:class:`repro.predictors.base.PredictorTable` flat dicts or
+  the sticky-spatial ``_entries`` dicts) — does not cross per call:
+  it lives in one native replay session per protocol (see "Resident
+  replay state" below).
 
 **Outputs** — :class:`repro.protocols.base.OutcomeColumns`
 (``latency_ns`` float64 + ``transfer_bytes`` int64, appended in trace
 order) and counter structs folded through
 :meth:`~repro.protocols.base.TrafficTotals.add_batch`; state objects
-are mutated in place to the exact values the Python loops produce.
+are mutated in place to the exact values the Python loops produce
+(replay state when it is materialised, see below).
 
 **Kernels** (one per hot loop):
 
 - ``group_replay`` — the fused Group-predictor multicast replay
-  (:func:`repro.protocols.fused.run_group`);
+  (:func:`repro.protocols.fused.run_group`) on a ``ReplaySession``;
 - ``policy_replay`` — the fused replay for the other compiled
   policies: Owner, Broadcast-if-shared, Owner-group, Sticky-spatial
   (:func:`repro.protocols.fused.run_kernel` with each policy's
-  ``fused_kernel`` closures);
+  ``fused_kernel`` closures), on the same session type;
 - accuracy scoring — not a kernel of its own: while a multicast
   protocol's ``accuracy`` report is set, ``group_replay`` /
   ``policy_replay`` also count coverage, precision and the outcome
@@ -40,8 +43,8 @@ are mutated in place to the exact values the Python loops produce.
   (:mod:`repro.analysis.accuracy`), so scored runs stay compiled;
 - ``baseline_replay`` — the directory and broadcast-snooping replays
   (``DirectoryProtocol`` / ``BroadcastSnoopingProtocol._handle_fast``)
-  as two protocol modes of the same ``policy_replay`` kernel, which
-  round-trip only the MOSI block map;
+  as two protocol modes of the same replay kernel, whose sessions
+  hold only the MOSI block map;
 - ``collector`` — the chunk-consuming cache/MOSI filter
   (:meth:`repro.cache.pipeline.TraceCollector.process_chunk`),
   session-based so cache state stays native across chunks;
@@ -51,6 +54,28 @@ are mutated in place to the exact values the Python loops produce.
   (bounded outstanding misses via per-node min-heaps), replicating
   CPython's heapq op order so clocks and heap contents stay
   bit-identical.
+
+**Resident replay state.**  The three replay kernels run on one
+``_native.ReplaySession`` per protocol, created on the protocol's
+first native replay.  It adopts whatever Python state the protocol
+holds (empty for a fresh one) and from then on each call ships only
+trace columns: the warm-up and measured calls of a cell share it, and
+a sweep cell that never reads the state never writes it back.  The
+mechanism that keeps Python readers correct is one attribute: every
+holder of replay state — the protocol and each of its predictors —
+carries ``_session`` (``None`` unless a session shadows it), and a
+Python reader calls ``_session.materialise()`` first when it is set.
+``materialise`` syncs the native state into the same Python objects
+and detaches the session from every holder.  The readers are the
+protocol's ``state`` and ``predictors`` properties, ``handle()`` (the
+record path), the Python tiers of ``_run_columns`` (a decline or a
+backend switch mid-life), and predictor-level readers
+(``stats()``).  Hot paths check nothing: they are entered through
+those doors, which test one attribute per call.  A session belongs to
+one protocol; a second thread entering it while a call is in flight
+gets ``ValueError``.  ``ReplaySession`` reports marshal / compute /
+write-back nanoseconds, tallied by :func:`record_phases` next to the
+decline tally.
 
 **Backends.**  ``pure`` and ``numpy`` are the existing Python loops
 (they differ only in how derived columns are produced); ``native`` is
@@ -70,8 +95,10 @@ caller falls back to the Python loops.  Fallbacks are *counted*, not
 silent: each decline increments a per-kernel/per-reason counter
 (:func:`decline_counts`) that the experiment runner snapshots into
 ``ResultSet.perf`` so a decline is visible as more than an
-unexplained slowdown.  Eligibility is per call, and the Python tier
-is always correct.
+unexplained slowdown.  Replay eligibility is checked when a
+protocol's session opens, and again per call only for what can change
+between calls (the backend, the race probability); the Python tier is
+always correct.
 """
 
 from __future__ import annotations
@@ -114,6 +141,35 @@ def reset_decline_counts() -> None:
         _declines.clear()
 
 
+#: Native phase nanoseconds — ``marshal_ns`` (GIL held: argument and
+#: state conversion in), ``compute_ns`` (GIL released: the replay
+#: loop) and ``writeback_ns`` (materialising native state into Python
+#: objects) — summed over every ``ReplaySession`` call since the last
+#: reset.  Guarded like the decline tally.
+PHASES = ("marshal_ns", "compute_ns", "writeback_ns")
+_phases: Dict[str, int] = dict.fromkeys(PHASES, 0)
+
+
+def record_phases(marshal_ns: int, compute_ns: int, writeback_ns: int) -> None:
+    """Add one native call's phase nanoseconds to the tally."""
+    with _declines_lock:
+        _phases["marshal_ns"] += marshal_ns
+        _phases["compute_ns"] += compute_ns
+        _phases["writeback_ns"] += writeback_ns
+
+
+def phase_totals() -> Dict[str, int]:
+    """Snapshot of the phase tally since the last reset."""
+    with _declines_lock:
+        return dict(_phases)
+
+
+def reset_phase_totals() -> None:
+    """Zero the phase tally (the runner calls this per run)."""
+    with _declines_lock:
+        _phases.update(dict.fromkeys(PHASES, 0))
+
+
 def available_backends() -> Tuple[str, ...]:
     """Registered kernel backends on this machine, floor first."""
     names = ["pure"]
@@ -133,7 +189,8 @@ def try_group_replay(proto, trace, out=None) -> bool:
     """Run the fused Group replay natively; False -> caller falls back.
 
     Callers have already established :func:`fused.group_uniform`; this
-    adds the native envelope checks and the state round-trip.
+    adds the native envelope checks and opens the protocol's replay
+    session (or reuses the attached one).
     """
     if not _backend.native_active():
         return False
@@ -147,8 +204,8 @@ def try_policy_replay(proto, trace, out=None) -> bool:
 
     Callers have already established a homogeneous predictor list with
     a fused kernel (Owner, Broadcast-if-shared, Owner-group, or
-    Sticky-spatial); this adds the native envelope checks and the
-    table-state round-trip.
+    Sticky-spatial); this adds the native envelope checks and opens
+    the protocol's replay session (or reuses the attached one).
     """
     if not _backend.native_active():
         return False
@@ -157,14 +214,35 @@ def try_policy_replay(proto, trace, out=None) -> bool:
     return native.policy_replay(proto, trace, out)
 
 
+def try_session_replay(proto, trace, out=None) -> bool:
+    """Replay on the protocol's attached native session; False ->
+    caller runs its Python tiers.
+
+    False also when no session is attached.  A session that cannot
+    take the call (the backend switched away from native, or a
+    per-call decline) materialises itself first, so the Python tier
+    sees current state.
+    """
+    session = proto._session
+    if session is None:
+        return False
+    if not _backend.native_active():
+        session.materialise()
+        return False
+    return session.replay(proto, trace, out)
+
+
 def try_baseline_replay(proto, trace, out=None) -> bool:
     """Run a directory or broadcast-snooping replay natively; False ->
     caller falls back to its ``_handle_fast`` loop.
 
     Callers have already established that the protocol's
     ``_handle_fast`` is the stock one; this adds the shared replay
-    envelope checks and the MOSI-state round-trip.
+    envelope checks and opens the protocol's replay session, or replays
+    on the attached one (:func:`try_session_replay`).
     """
+    if proto._session is not None:
+        return try_session_replay(proto, trace, out)
     if not _backend.native_active():
         return False
     from repro.kernels import native

@@ -1,14 +1,17 @@
 /* repro.kernels._native — compiled backend for the replay hot loops
  * (the kernel ABI in repro/kernels/__init__.py):
  *
- *   policy_replay        — mirror of repro.protocols.fused.run_group /
- *                          run_kernel for the five compiled policies
- *                          (Group, Owner, Broadcast-if-shared,
- *                          Owner-group, Sticky-spatial), plus two
- *                          protocol modes on the same MOSI core for
- *                          the baselines (DirectoryProtocol and
- *                          BroadcastSnoopingProtocol._handle_fast);
- *                          the predictor modes optionally score each
+ *   ReplaySession        — one protocol's replay state (MOSI block map,
+ *                          predictor tables) held natively between
+ *                          calls; its replay mirrors
+ *                          repro.protocols.fused.run_group / run_kernel
+ *                          for the five compiled policies (Group, Owner,
+ *                          Broadcast-if-shared, Owner-group,
+ *                          Sticky-spatial), plus two protocol modes on
+ *                          the same MOSI core for the baselines
+ *                          (DirectoryProtocol and
+ *                          BroadcastSnoopingProtocol._handle_fast); the
+ *                          predictor modes optionally score each
  *                          prediction (the accuracy analysis)
  *   timing_pass          — mirror of TimingSimulator._timing_pass_simple
  *   timing_pass_detailed — the same crossbar pass with the detailed
@@ -22,7 +25,7 @@
  * equivalence suites are the oracle.
  *
  * Envelope: replay destination-set bitmasks are carried in two uint64
- * words, so policy_replay accepts node counts <= 128; the chunk
+ * words, so ReplaySession accepts node counts <= 128; the chunk
  * collector keeps the original <= 62-node single-lane envelope (its
  * sharer masks live in one int64 map value).  Addresses/pcs are
  * non-negative (the trace container's documented invariant) and the
@@ -50,7 +53,13 @@
  * PyMem_* tier must not be called without the GIL); errors discovered
  * mid-compute set a flag and raise after the GIL is back.  Concurrent
  * calls share no module state, so sweep cells can replay on threads
- * in parallel.
+ * in parallel.  The session types (Collector, ReplaySession) keep
+ * their state across calls instead: load adopts Python state once,
+ * sync writes it back only when Python reads it, and each call in
+ * between marshals nothing but its columns.  A ReplaySession belongs
+ * to one protocol; a second call entering it concurrently raises
+ * ValueError instead of racing.  replay and load report their marshal
+ * / compute nanoseconds and sync its write-back nanoseconds.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -58,6 +67,7 @@
 
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 /* ------------------------------------------------------------------ */
 /* Open-addressing int64 hash map (two int64 values per key).          */
@@ -581,7 +591,7 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* policy_replay: mirror of repro.protocols.fused.run_group /          */
+/* Replay core: mirror of repro.protocols.fused.run_group /            */
 /* run_kernel for the five compiled predictor policies, and of the     */
 /* directory / broadcast-snooping _handle_fast loops.                  */
 /* ------------------------------------------------------------------ */
@@ -1000,16 +1010,17 @@ fail:
 /* Write native table state back into the PredictorTable (same dict
  * objects, refilled).  Returns 0 / -1. */
 static int
-gtable_sync(GTable *t, PyObject *table, PyObject *factory, int n_nodes)
+gtable_sync(GTable *t, PyObject *table, int n_nodes)
 {
     int rc = -1;
     PyObject *entries = NULL, *stamps = NULL, *set_keys = NULL;
-    PyObject *keyobj = NULL, *entry = NULL, *tmp = NULL;
+    PyObject *factory = NULL, *keyobj = NULL, *entry = NULL, *tmp = NULL;
 
     entries = PyObject_GetAttrString(table, "_entries");
     stamps = PyObject_GetAttrString(table, "_stamps");
     set_keys = PyObject_GetAttrString(table, "_set_keys");
-    if (!entries || !stamps || !set_keys)
+    factory = PyObject_GetAttrString(table, "_entry_factory");
+    if (!entries || !stamps || !set_keys || !factory)
         goto done;
     PyDict_Clear(entries);
     PyDict_Clear(stamps);
@@ -1136,6 +1147,7 @@ done:
     Py_XDECREF(tmp);
     Py_XDECREF(keyobj);
     Py_XDECREF(entry);
+    Py_XDECREF(factory);
     Py_XDECREF(entries);
     Py_XDECREF(stamps);
     Py_XDECREF(set_keys);
@@ -1542,141 +1554,773 @@ done:
     return rc;
 }
 
-static PyObject *
-policy_replay(PyObject *self, PyObject *args)
-{
-    Py_buffer addr_b, pc_b, req_b, acc_b;
-    int policy, n_nodes, block_shift, use_pc, gshift;
-    PyObject *tablesA_obj, *factoriesA_obj, *tablesB_obj, *factoriesB_obj;
-    PyObject *sticky_obj, *state_obj;
-    int cmax_i, thr_i, rperiod_i, tdown;
-    int sticky_unbounded, sticky_shift;
-    long long sticky_entries_ll;
-    double lat_mem, lat_dir, lat_ind, latency_sum;
-    long long block_mask_ll, control_ll, data_ll;
-    int want_out, want_score;
+/* ------------------------------------------------------------------ */
+/* ReplaySession: one protocol's replay state (the MOSI block map plus */
+/* the per-node predictor tables) held natively between calls, so a   */
+/* warm-up call and a measured call cross the boundary only as trace  */
+/* columns.  Python state is adopted once (load) and materialised     */
+/* only when a Python reader asks for it (sync).                      */
+/* ------------------------------------------------------------------ */
 
-    if (!PyArg_ParseTuple(
-            args, "iy*y*y*y*iLiiiOOOOiiiiOiLiOdddLLdii", &policy, &addr_b,
-            &pc_b, &req_b, &acc_b, &n_nodes, &block_mask_ll, &block_shift,
-            &use_pc, &gshift, &tablesA_obj, &factoriesA_obj, &tablesB_obj,
-            &factoriesB_obj, &cmax_i, &thr_i, &rperiod_i, &tdown,
-            &sticky_obj, &sticky_unbounded, &sticky_entries_ll,
-            &sticky_shift, &state_obj, &lat_mem, &lat_dir, &lat_ind,
-            &control_ll, &data_ll, &latency_sum, &want_out, &want_score))
-        return NULL;
-
-    PyObject *result = NULL;
-    GTable *tablesA = NULL;
-    GTable *tablesB = NULL;
-    STable *stables = NULL;
+typedef struct {
+    PyObject_HEAD
+    /* Replay configuration (fixed for the session's life). */
+    int policy;
+    int n_nodes;
+    int64_t block_mask;
+    int block_shift;
+    int use_pc;
+    int gshift;
+    int32_t cmax, thr, rperiod;
+    int tdown;
+    int sticky_unbounded;
+    int64_t sticky_entries;
+    int sticky_shift;
+    double lat_mem, lat_dir, lat_ind;
+    int64_t control, data_size;
+    /* Replay state. */
     I64Map mosi;
-    mosi.keys = NULL;
-    double *lat_out = NULL;
-    int64_t *tb_out = NULL;
-    int fallback = 0;
+    GTable *tablesA; /* the policy's primary tables (owner half of OG) */
+    GTable *tablesB; /* the group half of Owner-group */
+    STable *stables; /* Sticky-spatial */
+    int loaded;
+    int broken; /* a replay ran out of memory mid-loop: state is lost */
+    int busy;   /* set (atomically) for the length of every method */
+} NReplay;
 
-    Py_ssize_t nrec = req_b.len / (Py_ssize_t)sizeof(int32_t);
-    const int64_t block_mask = (int64_t)block_mask_ll;
-    const int64_t control = (int64_t)control_ll;
-    const int64_t data_size = (int64_t)data_ll;
-    const int32_t cmax = (int32_t)cmax_i;
-    const int32_t thr = (int32_t)thr_i;
-    const int32_t rperiod = (int32_t)rperiod_i;
-    const int64_t sticky_entries = (int64_t)sticky_entries_ll;
+static inline int64_t
+monotonic_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + (int64_t)ts.tv_nsec;
+}
 
-    int ok = addr_b.len == nrec * (Py_ssize_t)sizeof(int64_t)
-             && pc_b.len == nrec * (Py_ssize_t)sizeof(int64_t)
-             && acc_b.len == nrec && n_nodes > 0 && n_nodes <= 128
-             && policy >= POLICY_GROUP && policy <= POLICY_SNOOPING;
-    const int baseline =
-        policy == POLICY_DIRECTORY || policy == POLICY_SNOOPING;
-    if (ok && !baseline) {
-        if (policy == POLICY_STICKY)
-            ok = PyList_CheckExact(sticky_obj)
-                 && PyList_GET_SIZE(sticky_obj) == n_nodes
-                 && (sticky_unbounded || sticky_entries > 0)
-                 && sticky_shift >= 0;
-        else
-            ok = PyList_CheckExact(tablesA_obj)
-                 && PyList_CheckExact(factoriesA_obj)
-                 && PyList_GET_SIZE(tablesA_obj) == n_nodes
-                 && PyList_GET_SIZE(factoriesA_obj) == n_nodes;
-        if (ok && policy == POLICY_OWNER_GROUP)
-            ok = PyList_CheckExact(tablesB_obj)
-                 && PyList_CheckExact(factoriesB_obj)
-                 && PyList_GET_SIZE(tablesB_obj) == n_nodes
-                 && PyList_GET_SIZE(factoriesB_obj) == n_nodes;
+static inline int
+is_baseline(int policy)
+{
+    return policy == POLICY_DIRECTORY || policy == POLICY_SNOOPING;
+}
+
+static void
+nreplay_free_state(NReplay *self)
+{
+    int n = self->n_nodes;
+    if (self->tablesA) {
+        for (int i = 0; i < n; i++)
+            gtable_free(&self->tablesA[i]);
+        PyMem_RawFree(self->tablesA);
+        self->tablesA = NULL;
     }
-    if (!ok) {
-        PyErr_SetString(PyExc_ValueError, "policy_replay: bad arguments");
-        goto done;
+    if (self->tablesB) {
+        for (int i = 0; i < n; i++)
+            gtable_free(&self->tablesB[i]);
+        PyMem_RawFree(self->tablesB);
+        self->tablesB = NULL;
     }
+    if (self->stables) {
+        for (int i = 0; i < n; i++)
+            stable_free(&self->stables[i]);
+        PyMem_RawFree(self->stables);
+        self->stables = NULL;
+    }
+    if (self->mosi.keys)
+        map_free(&self->mosi);
+    self->loaded = 0;
+}
 
-    if (policy == POLICY_STICKY) {
-        stables = PyMem_RawCalloc((size_t)n_nodes, sizeof(STable));
-        if (!stables) {
+/* Claim the session for one method call; ValueError when another
+ * thread is inside it (a session belongs to one cell). */
+static int
+nreplay_enter(NReplay *self)
+{
+    if (__atomic_exchange_n(&self->busy, 1, __ATOMIC_ACQ_REL)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "ReplaySession: concurrent call on one session");
+        return -1;
+    }
+    return 0;
+}
+
+static inline void
+nreplay_leave(NReplay *self)
+{
+    __atomic_store_n(&self->busy, 0, __ATOMIC_RELEASE);
+}
+
+static void
+nreplay_dealloc(NReplay *self)
+{
+    nreplay_free_state(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+nreplay_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    int policy, n_nodes, block_shift, use_pc, gshift;
+    int cmax, thr, rperiod, tdown, sticky_unbounded, sticky_shift;
+    long long block_mask, sticky_entries, control, data_size;
+    double lat_mem, lat_dir, lat_ind;
+    if (!PyArg_ParseTuple(args, "iiLiiiiiiiiLidddLL", &policy, &n_nodes,
+                          &block_mask, &block_shift, &use_pc, &gshift, &cmax,
+                          &thr, &rperiod, &tdown, &sticky_unbounded,
+                          &sticky_entries, &sticky_shift, &lat_mem, &lat_dir,
+                          &lat_ind, &control, &data_size))
+        return NULL;
+    if (policy < POLICY_GROUP || policy > POLICY_SNOOPING || n_nodes <= 0
+        || n_nodes > 128 || block_shift < 0 || block_shift > 62
+        || gshift < 0 || gshift > 63
+        || (policy == POLICY_STICKY
+            && ((!sticky_unbounded && sticky_entries <= 0)
+                || sticky_shift < 0 || sticky_shift > 63))) {
+        PyErr_SetString(PyExc_ValueError, "ReplaySession: bad configuration");
+        return NULL;
+    }
+    NReplay *self = (NReplay *)type->tp_alloc(type, 0);
+    if (!self)
+        return NULL;
+    self->policy = policy;
+    self->n_nodes = n_nodes;
+    self->block_mask = (int64_t)block_mask;
+    self->block_shift = block_shift;
+    self->use_pc = use_pc != 0;
+    self->gshift = gshift;
+    self->cmax = (int32_t)cmax;
+    self->thr = (int32_t)thr;
+    self->rperiod = (int32_t)rperiod;
+    self->tdown = tdown != 0;
+    self->sticky_unbounded = sticky_unbounded != 0;
+    self->sticky_entries = (int64_t)sticky_entries;
+    self->sticky_shift = sticky_shift;
+    self->lat_mem = lat_mem;
+    self->lat_dir = lat_dir;
+    self->lat_ind = lat_ind;
+    self->control = (int64_t)control;
+    self->data_size = (int64_t)data_size;
+    return (PyObject *)self;
+}
+
+/* A per-node list argument: exactly n_nodes items, or None when the
+ * policy has no such tables. */
+static int
+node_list_ok(PyObject *obj, int wanted, int n_nodes)
+{
+    if (!wanted)
+        return 1;
+    return PyList_CheckExact(obj) && PyList_GET_SIZE(obj) == n_nodes;
+}
+
+static int
+nreplay_args_ok(NReplay *self, PyObject *tables_a, PyObject *tables_b,
+                PyObject *sticky)
+{
+    int p = self->policy;
+    int n = self->n_nodes;
+    int with_a = !is_baseline(p) && p != POLICY_STICKY;
+    if (node_list_ok(tables_a, with_a, n)
+        && node_list_ok(tables_b, p == POLICY_OWNER_GROUP, n)
+        && node_list_ok(sticky, p == POLICY_STICKY, n))
+        return 1;
+    PyErr_SetString(PyExc_ValueError, "ReplaySession: bad state arguments");
+    return 0;
+}
+
+/* load(blocks, tables_a, tables_b, sticky): adopt the protocol's
+ * Python state (empty for a fresh protocol).  Returns the marshal
+ * nanoseconds, or None when the state is outside the envelope (the
+ * session is then empty and the caller falls back). */
+static PyObject *
+nreplay_load(NReplay *self, PyObject *args)
+{
+    PyObject *blocks, *tables_a, *tables_b, *sticky;
+    if (!PyArg_ParseTuple(args, "OOOO", &blocks, &tables_a, &tables_b,
+                          &sticky))
+        return NULL;
+    if (!nreplay_args_ok(self, tables_a, tables_b, sticky))
+        return NULL;
+    if (nreplay_enter(self) < 0)
+        return NULL;
+    int64_t started = monotonic_ns();
+    nreplay_free_state(self);
+    self->broken = 0;
+    int n = self->n_nodes;
+    int p = self->policy;
+    int rc = 0;
+
+    if (p == POLICY_STICKY) {
+        self->stables = PyMem_RawCalloc((size_t)n, sizeof(STable));
+        if (!self->stables) {
             PyErr_NoMemory();
-            goto done;
+            rc = -1;
         }
-        for (int i = 0; i < n_nodes; i++) {
-            int rc =
-                stable_load(&stables[i], PyList_GET_ITEM(sticky_obj, i));
-            if (rc < 0)
-                goto done;
-            if (rc > 0) {
-                fallback = 1;
-                goto done;
-            }
+        for (int i = 0; rc == 0 && i < n; i++)
+            rc = stable_load(&self->stables[i], PyList_GET_ITEM(sticky, i));
+    }
+    else if (!is_baseline(p)) { /* the protocol modes have no tables */
+        int kindA = p == POLICY_GROUP ? PT_GROUP
+                                      : (p == POLICY_BIFS ? PT_BIFS : PT_OWNER);
+        self->tablesA = PyMem_RawCalloc((size_t)n, sizeof(GTable));
+        if (p == POLICY_OWNER_GROUP)
+            self->tablesB = PyMem_RawCalloc((size_t)n, sizeof(GTable));
+        if (!self->tablesA || (p == POLICY_OWNER_GROUP && !self->tablesB)) {
+            PyErr_NoMemory();
+            rc = -1;
+        }
+        for (int i = 0; rc == 0 && i < n; i++) {
+            self->tablesA[i].kind = kindA;
+            rc = gtable_load(&self->tablesA[i],
+                             PyList_GET_ITEM(tables_a, i), n);
+        }
+        for (int i = 0; rc == 0 && self->tablesB && i < n; i++) {
+            self->tablesB[i].kind = PT_GROUP;
+            rc = gtable_load(&self->tablesB[i],
+                             PyList_GET_ITEM(tables_b, i), n);
         }
     }
-    else if (!baseline) { /* the protocol modes have no tables */
-        int kindA = policy == POLICY_GROUP
-                        ? PT_GROUP
-                        : (policy == POLICY_BIFS ? PT_BIFS : PT_OWNER);
-        tablesA = PyMem_RawCalloc((size_t)n_nodes, sizeof(GTable));
-        if (!tablesA) {
-            PyErr_NoMemory();
-            goto done;
+    if (rc == 0)
+        rc = mosi_load(&self->mosi, blocks, n, /*allow_wide=*/1);
+    if (rc != 0) {
+        nreplay_free_state(self);
+        nreplay_leave(self);
+        if (rc < 0)
+            return NULL;
+        Py_RETURN_NONE; /* envelope: caller uses the Python loop */
+    }
+    self->loaded = 1;
+    nreplay_leave(self);
+    return PyLong_FromLongLong((long long)(monotonic_ns() - started));
+}
+
+/* sync(blocks, tables_a, tables_b, sticky): materialise the native
+ * state into the Python objects (the same dicts, refilled).  Sticky
+ * list items that are None are skipped.  Returns the write-back
+ * nanoseconds. */
+static PyObject *
+nreplay_sync(NReplay *self, PyObject *args)
+{
+    PyObject *blocks, *tables_a, *tables_b, *sticky;
+    if (!PyArg_ParseTuple(args, "OOOO", &blocks, &tables_a, &tables_b,
+                          &sticky))
+        return NULL;
+    if (!nreplay_args_ok(self, tables_a, tables_b, sticky))
+        return NULL;
+    if (!PyDict_CheckExact(blocks)) {
+        PyErr_SetString(PyExc_ValueError, "ReplaySession: bad state arguments");
+        return NULL;
+    }
+    if (!self->loaded || self->broken) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        self->broken ? "ReplaySession: state lost"
+                                     : "ReplaySession: load() first");
+        return NULL;
+    }
+    if (nreplay_enter(self) < 0)
+        return NULL;
+    int64_t started = monotonic_ns();
+    int n = self->n_nodes;
+    int rc = 0;
+    if (self->stables) {
+        for (int i = 0; rc == 0 && i < n; i++) {
+            PyObject *predictor = PyList_GET_ITEM(sticky, i);
+            if (predictor != Py_None)
+                rc = stable_sync(&self->stables[i], predictor);
         }
-        for (int i = 0; i < n_nodes; i++) {
-            tablesA[i].kind = kindA;
-            int rc = gtable_load(&tablesA[i],
-                                 PyList_GET_ITEM(tablesA_obj, i), n_nodes);
-            if (rc < 0)
-                goto done;
-            if (rc > 0) {
-                fallback = 1;
-                goto done;
+    }
+    for (int i = 0; rc == 0 && self->tablesA && i < n; i++)
+        rc = gtable_sync(&self->tablesA[i], PyList_GET_ITEM(tables_a, i), n);
+    for (int i = 0; rc == 0 && self->tablesB && i < n; i++)
+        rc = gtable_sync(&self->tablesB[i], PyList_GET_ITEM(tables_b, i), n);
+    if (rc == 0)
+        rc = mosi_sync(&self->mosi, blocks);
+    nreplay_leave(self);
+    if (rc < 0)
+        return NULL;
+    return PyLong_FromLongLong((long long)(monotonic_ns() - started));
+}
+
+/* Counters of one replay, in the order the result tuple reports them. */
+typedef struct {
+    int64_t indirections;
+    int64_t request_sum;
+    int64_t forward_sum;
+    int64_t retry_sum;
+    int64_t retries_total;
+    double latency_sum;
+    /* Accuracy scoring (MulticastSnoopingProtocol.accuracy): the
+     * predicted extras and the required nodes, both beyond the
+     * minimal set, in AccuracyReport.add_counts order. */
+    int64_t sc_required;
+    int64_t sc_covered;
+    int64_t sc_extra;
+    int64_t sc_class[5];
+} ReplayCounts;
+
+#define REPLAY_OK 0
+#define REPLAY_OOM 1
+#define REPLAY_BAD_REQUESTER 2
+
+/* The replay loop: pure C over the session's state, run without the
+ * GIL.  Every requester is validated before any state changes, so a
+ * bad column leaves the session exactly as it was. */
+static int
+replay_compute(NReplay *s, const int64_t *addrs, const int64_t *pcs,
+               const int32_t *reqs, const int8_t *accs, Py_ssize_t nrec,
+               double *lat_out, int64_t *tb_out, int want_score,
+               ReplayCounts *c)
+{
+    const int policy = s->policy;
+    const int n_nodes = s->n_nodes;
+    const int64_t block_mask = s->block_mask;
+    const int block_shift = s->block_shift;
+    const int use_pc = s->use_pc;
+    const int gshift = s->gshift;
+    const int32_t cmax = s->cmax, thr = s->thr, rperiod = s->rperiod;
+    const int tdown = s->tdown;
+    const int sticky_unbounded = s->sticky_unbounded;
+    const int64_t sticky_entries = s->sticky_entries;
+    const int sticky_shift = s->sticky_shift;
+    const double lat_mem = s->lat_mem, lat_dir = s->lat_dir;
+    const double lat_ind = s->lat_ind;
+    const int64_t control = s->control, data_size = s->data_size;
+    GTable *tablesA = s->tablesA;
+    GTable *tablesB = s->tablesB;
+    STable *stables = s->stables;
+    I64Map *mosi = &s->mosi;
+
+    for (Py_ssize_t i = 0; i < nrec; i++) {
+        /* every table and mask below is indexed by the requester */
+        if (reqs[i] < 0 || reqs[i] >= n_nodes)
+            return REPLAY_BAD_REQUESTER;
+    }
+
+    /* The full destination set (Broadcast-if-shared, snooping). */
+    uint64_t full_lo, full_hi;
+    if (n_nodes >= 128) {
+        full_lo = ~(uint64_t)0;
+        full_hi = ~(uint64_t)0;
+    }
+    else if (n_nodes >= 64) {
+        full_lo = ~(uint64_t)0;
+        full_hi = n_nodes > 64 ? (((uint64_t)1 << (n_nodes - 64)) - 1) : 0;
+    }
+    else {
+        full_lo = ((uint64_t)1 << n_nodes) - 1;
+        full_hi = 0;
+    }
+
+    double latency_sum = c->latency_sum;
+
+    /* Pending fused training batch (never engages for sticky, whose
+     * kernel has no train_external). */
+    int64_t p_key = 0;
+    int32_t p_req = -1;
+    int32_t p_code = -1;
+    uint64_t p_lo = 0, p_hi = 0;
+    int64_t p_count = 0;
+
+    for (Py_ssize_t i = 0; i < nrec; i++) {
+        const int64_t address = addrs[i];
+        const int32_t requester = reqs[i];
+        const int32_t code = accs[i];
+        const int64_t block = address & block_mask;
+        const int64_t key = use_pc ? pcs[i] : (address >> gshift);
+        const int32_t home = (int32_t)((block >> block_shift) % n_nodes);
+        uint64_t reqbit_lo = 0, reqbit_hi = 0;
+        bit128_set(&reqbit_lo, &reqbit_hi, requester);
+        uint64_t minimal_lo = reqbit_lo, minimal_hi = reqbit_hi;
+        bit128_set(&minimal_lo, &minimal_hi, home);
+        const uint64_t notreq_lo = ~reqbit_lo;
+        const uint64_t notreq_hi = ~reqbit_hi;
+
+        if (p_count
+            && (key != p_key || requester != p_req || code != p_code)) {
+            policy_flush(policy, tablesA, tablesB, p_lo, p_hi, p_key, p_req,
+                         p_code, p_count, n_nodes, cmax, thr, rperiod,
+                         tdown);
+            p_count = 0;
+        }
+
+        /* FusedKernel.predict (destination = prediction | minimal). */
+        uint64_t dest_lo = minimal_lo, dest_hi = minimal_hi;
+        int32_t scratch = -1; /* predict's entry, reused by response */
+        switch (policy) {
+        case POLICY_GROUP: {
+            GTable *t = &tablesA[requester];
+            Py_ssize_t slot = map_find(&t->map, key);
+            if (slot >= 0) {
+                scratch = (int32_t)t->map.v1[slot];
+                if (t->bounded)
+                    t->stamps[scratch] = t->tick++;
+                dest_lo |= t->bits_lo[scratch];
+                dest_hi |= t->bits_hi[scratch];
+            }
+            break;
+        }
+        case POLICY_OWNER: {
+            GTable *t = &tablesA[requester];
+            Py_ssize_t slot = map_find(&t->map, key);
+            if (slot >= 0) {
+                scratch = (int32_t)t->map.v1[slot];
+                if (t->bounded)
+                    t->stamps[scratch] = t->tick++;
+                if (t->valid[scratch])
+                    bit128_set(&dest_lo, &dest_hi, t->owner[scratch]);
+            }
+            break;
+        }
+        case POLICY_BIFS: {
+            GTable *t = &tablesA[requester];
+            Py_ssize_t slot = map_find(&t->map, key);
+            if (slot >= 0) {
+                scratch = (int32_t)t->map.v1[slot];
+                if (t->bounded)
+                    t->stamps[scratch] = t->tick++;
+                if (t->counter[scratch] > 1) {
+                    dest_lo |= full_lo;
+                    dest_hi |= full_hi;
+                }
+            }
+            break;
+        }
+        case POLICY_OWNER_GROUP: {
+            GTable *t = code ? &tablesB[requester] : &tablesA[requester];
+            Py_ssize_t slot = map_find(&t->map, key);
+            if (slot >= 0) {
+                int32_t e = (int32_t)t->map.v1[slot];
+                if (t->bounded)
+                    t->stamps[e] = t->tick++;
+                if (code) {
+                    dest_lo |= t->bits_lo[e];
+                    dest_hi |= t->bits_hi[e];
+                }
+                else if (t->valid[e]) {
+                    bit128_set(&dest_lo, &dest_hi, t->owner[e]);
+                }
+            }
+            break;
+        }
+        case POLICY_STICKY: { /* three neighbouring entries */
+            STable *st = &stables[requester];
+            int64_t bn = address >> sticky_shift;
+            for (int d = -1; d <= 1; d++) {
+                int64_t nb = bn + d;
+                int64_t idx =
+                    sticky_unbounded ? nb : floormod64(nb, sticky_entries);
+                Py_ssize_t slot = map_find(&st->map, idx);
+                if (slot >= 0) {
+                    Py_ssize_t sl = (Py_ssize_t)st->map.v1[slot];
+                    dest_lo |= st->bits_lo[sl];
+                    dest_hi |= st->bits_hi[sl];
+                }
+            }
+            break;
+        }
+        case POLICY_SNOOPING:
+            dest_lo = full_lo;
+            dest_hi = full_hi;
+            break;
+        default: /* POLICY_DIRECTORY multicasts nothing */
+            break;
+        }
+
+        /* Order on the global MOSI state (apply_fast). */
+        int64_t owner;
+        uint64_t sh_lo, sh_hi;
+        Py_ssize_t mslot = map_find(mosi, block);
+        if (mslot < 0) {
+            owner = -1;
+            sh_lo = 0;
+            sh_hi = 0;
+        }
+        else {
+            owner = mosi->v1[mslot];
+            sh_lo = (uint64_t)mosi->v2[mslot];
+            sh_hi = (uint64_t)mosi->v3[mslot];
+        }
+        uint64_t req_lo = 0, req_hi = 0;
+        int64_t responder;
+        if (owner >= 0 && owner != requester) {
+            bit128_set(&req_lo, &req_hi, (int)owner);
+            responder = owner;
+        }
+        else {
+            responder = -1;
+        }
+        if (code) {
+            req_lo |= sh_lo & notreq_lo;
+            req_hi |= sh_hi & notreq_hi;
+            if (map_put3(mosi, block, requester, 0, 0) < 0)
+                return REPLAY_OOM;
+        }
+        else if (owner != requester) {
+            if (map_put3(mosi, block, owner, (int64_t)(sh_lo | reqbit_lo),
+                         (int64_t)(sh_hi | reqbit_hi)) < 0)
+                return REPLAY_OOM;
+        }
+
+        if (policy == POLICY_DIRECTORY) {
+            /* One request to the home (free when the requester is
+             * home), one forward per node that must observe. */
+            int64_t requests = home != requester;
+            int64_t forwards = popcount128(req_lo, req_hi);
+            c->request_sum += requests;
+            c->forward_sum += forwards;
+            c->indirections += (req_lo | req_hi) != 0;
+            double lat = responder == -1 ? lat_mem : lat_ind;
+            latency_sum += lat;
+            if (lat_out) {
+                lat_out[i] = lat;
+                tb_out[i] = (requests + forwards) * control + data_size;
+            }
+            continue;
+        }
+
+        int64_t dcount = popcount128(dest_lo, dest_hi);
+        c->request_sum += dcount - 1;
+        uint64_t del_lo = dest_lo, del_hi = dest_hi;
+        if (((req_lo & ~dest_lo) | (req_hi & ~dest_hi)) == 0) {
+            double lat = responder == -1 ? lat_mem : lat_dir;
+            latency_sum += lat;
+            if (lat_out) {
+                lat_out[i] = lat;
+                tb_out[i] = (dcount - 1) * control + data_size;
             }
         }
-        if (policy == POLICY_OWNER_GROUP) {
-            tablesB = PyMem_RawCalloc((size_t)n_nodes, sizeof(GTable));
-            if (!tablesB) {
-                PyErr_NoMemory();
-                goto done;
+        else {
+            uint64_t cor_lo = req_lo | minimal_lo;
+            uint64_t cor_hi = req_hi | minimal_hi;
+            int64_t retry_messages = popcount128(cor_lo, cor_hi) - 1;
+            del_lo |= cor_lo;
+            del_hi |= cor_hi;
+            c->retry_sum += retry_messages;
+            c->retries_total += 1;
+            c->indirections++;
+            latency_sum += lat_ind;
+            if (lat_out) {
+                lat_out[i] = lat_ind;
+                tb_out[i] = (dcount - 1 + retry_messages) * control + data_size;
             }
-            for (int i = 0; i < n_nodes; i++) {
-                tablesB[i].kind = PT_GROUP;
-                int rc = gtable_load(
-                    &tablesB[i], PyList_GET_ITEM(tablesB_obj, i), n_nodes);
-                if (rc < 0)
-                    goto done;
-                if (rc > 0) {
-                    fallback = 1;
-                    goto done;
+        }
+
+        if (policy == POLICY_SNOOPING)
+            continue; /* no predictor to train or score */
+
+        if (want_score) {
+            const uint64_t x_lo = dest_lo & ~minimal_lo;
+            const uint64_t x_hi = dest_hi & ~minimal_hi;
+            const uint64_t n_lo = req_lo & ~minimal_lo;
+            const uint64_t n_hi = req_hi & ~minimal_hi;
+            c->sc_required += popcount128(n_lo, n_hi);
+            c->sc_covered += popcount128(n_lo & x_lo, n_hi & x_hi);
+            c->sc_extra += popcount128(x_lo, x_hi);
+            /* trivial, exact, over, under, mixed */
+            int cls;
+            if (!(x_lo | x_hi | n_lo | n_hi))
+                cls = 0;
+            else if (x_lo == n_lo && x_hi == n_hi)
+                cls = 1;
+            else if (!((n_lo & ~x_lo) | (n_hi & ~x_hi)))
+                cls = 2;
+            else if (!((x_lo & ~n_lo) | (x_hi & ~n_hi)))
+                cls = 3;
+            else
+                cls = 4;
+            c->sc_class[cls]++;
+        }
+
+        /* Data-response training at the requester. */
+        int allocate = (req_lo | req_hi) != 0;
+        switch (policy) {
+        case POLICY_GROUP: {
+            GTable *t = &tablesA[requester];
+            int32_t e = scratch;
+            if (e < 0 && allocate) {
+                e = gtable_allocate(t, key, n_nodes);
+                if (e < 0)
+                    return REPLAY_OOM;
+            }
+            if (e >= 0 && responder != -1)
+                group_train(t, e, (int32_t)responder, n_nodes, cmax, thr,
+                            rperiod, tdown);
+            break;
+        }
+        case POLICY_OWNER: {
+            GTable *t = &tablesA[requester];
+            int32_t e = scratch;
+            if (e < 0) {
+                if (!allocate)
+                    break;
+                e = gtable_allocate(t, key, n_nodes);
+                if (e < 0)
+                    return REPLAY_OOM;
+            }
+            if (responder == -1) {
+                t->valid[e] = 0;
+            }
+            else {
+                t->owner[e] = (int32_t)responder;
+                t->valid[e] = 1;
+            }
+            break;
+        }
+        case POLICY_BIFS: {
+            GTable *t = &tablesA[requester];
+            int32_t e = scratch;
+            if (e < 0) {
+                if (!allocate)
+                    break;
+                e = gtable_allocate(t, key, n_nodes);
+                if (e < 0)
+                    return REPLAY_OOM;
+            }
+            if (responder == -1 && !allocate) {
+                if (t->counter[e] > 0)
+                    t->counter[e]--;
+            }
+            else if (t->counter[e] < cmax) {
+                t->counter[e]++;
+            }
+            break;
+        }
+        case POLICY_OWNER_GROUP: {
+            GTable *t = &tablesA[requester];
+            Py_ssize_t slot = map_find(&t->map, key);
+            int32_t e = -1;
+            if (slot >= 0) {
+                e = (int32_t)t->map.v1[slot];
+                if (t->bounded)
+                    t->stamps[e] = t->tick++;
+            }
+            else if (allocate) {
+                e = gtable_allocate(t, key, n_nodes);
+                if (e < 0)
+                    return REPLAY_OOM;
+            }
+            if (e >= 0) {
+                if (responder == -1) {
+                    t->valid[e] = 0;
+                }
+                else {
+                    t->owner[e] = (int32_t)responder;
+                    t->valid[e] = 1;
+                }
+            }
+            GTable *g = &tablesB[requester];
+            slot = map_find(&g->map, key);
+            e = -1;
+            if (slot >= 0) {
+                e = (int32_t)g->map.v1[slot];
+                if (g->bounded)
+                    g->stamps[e] = g->tick++;
+            }
+            else if (allocate) {
+                e = gtable_allocate(g, key, n_nodes);
+                if (e < 0)
+                    return REPLAY_OOM;
+            }
+            if (e >= 0 && responder != -1)
+                group_train(g, e, (int32_t)responder, n_nodes, cmax, thr,
+                            rperiod, tdown);
+            break;
+        }
+        default:
+            break; /* sticky train_response is a no-op */
+        }
+
+        if (policy == POLICY_STICKY) {
+            /* Directory truth training (train_truth). */
+            uint64_t tr_lo = req_lo, tr_hi = req_hi;
+            bit128_set(&tr_lo, &tr_hi, home);
+            STable *st = &stables[requester];
+            int64_t bn = address >> sticky_shift;
+            int64_t idx =
+                sticky_unbounded ? bn : floormod64(bn, sticky_entries);
+            Py_ssize_t slot = map_find(&st->map, idx);
+            if (slot < 0) {
+                if (stable_append(st, idx, bn, tr_lo, tr_hi) < 0)
+                    return REPLAY_OOM;
+                st->n_alloc++;
+            }
+            else {
+                Py_ssize_t sl = (Py_ssize_t)st->map.v1[slot];
+                if (st->tags[sl] == bn) {
+                    st->bits_lo[sl] |= tr_lo;
+                    st->bits_hi[sl] |= tr_hi;
+                }
+                else {
+                    st->tags[sl] = bn;
+                    st->bits_lo[sl] = tr_lo;
+                    st->bits_hi[sl] = tr_hi;
+                    st->n_repl++;
                 }
             }
         }
-    }
-    {
-        int rc = mosi_load(&mosi, state_obj, n_nodes, /*allow_wide=*/1);
-        if (rc < 0)
-            goto done;
-        if (rc > 0) {
-            fallback = 1;
-            goto done;
+        else {
+            /* External-request training batch. */
+            uint64_t ext_lo = del_lo & notreq_lo;
+            uint64_t ext_hi = del_hi & notreq_hi;
+            if (p_count && ext_lo == p_lo && ext_hi == p_hi) {
+                p_count++;
+            }
+            else {
+                if (p_count)
+                    policy_flush(policy, tablesA, tablesB, p_lo, p_hi, p_key,
+                                 p_req, p_code, p_count, n_nodes, cmax, thr,
+                                 rperiod, tdown);
+                p_key = key;
+                p_req = requester;
+                p_code = code;
+                p_lo = ext_lo;
+                p_hi = ext_hi;
+                p_count = 1;
+            }
         }
+    }
+    if (p_count)
+        policy_flush(policy, tablesA, tablesB, p_lo, p_hi, p_key, p_req,
+                     p_code, p_count, n_nodes, cmax, thr, rperiod, tdown);
+    c->latency_sum = latency_sum;
+    return REPLAY_OK;
+}
+
+/* replay(addresses, pcs, requesters, accesses, latency_sum, want_out,
+ * want_score) -> (misses, indirections, request_messages,
+ * forward_messages, retry_messages, retries, latency_sum, lat_bytes,
+ * tb_bytes, score, marshal_ns, compute_ns).  lat/tb bytes are None
+ * without want_out; score is None without want_score (and always for
+ * the protocol modes). */
+static PyObject *
+nreplay_replay(NReplay *self, PyObject *args)
+{
+    Py_buffer addr_b, pc_b, req_b, acc_b;
+    double latency_sum;
+    int want_out, want_score;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*dpp", &addr_b, &pc_b, &req_b,
+                          &acc_b, &latency_sum, &want_out, &want_score))
+        return NULL;
+    int64_t started = monotonic_ns();
+    PyObject *result = NULL;
+    double *lat_out = NULL;
+    int64_t *tb_out = NULL;
+    int entered = 0;
+
+    Py_ssize_t nrec = req_b.len / (Py_ssize_t)sizeof(int32_t);
+    if (req_b.len != nrec * (Py_ssize_t)sizeof(int32_t)
+        || addr_b.len != nrec * (Py_ssize_t)sizeof(int64_t)
+        || pc_b.len != nrec * (Py_ssize_t)sizeof(int64_t)
+        || acc_b.len != nrec) {
+        PyErr_SetString(PyExc_ValueError, "ReplaySession: bad columns");
+        goto done;
+    }
+    if (nreplay_enter(self) < 0)
+        goto done;
+    entered = 1;
+    if (!self->loaded || self->broken) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        self->broken ? "ReplaySession: state lost"
+                                     : "ReplaySession: load() first");
+        goto done;
     }
     if (want_out) {
         lat_out = PyMem_RawMalloc((size_t)(nrec ? nrec : 1) * sizeof(double));
@@ -1687,547 +2331,72 @@ policy_replay(PyObject *self, PyObject *args)
         }
     }
 
-    {
-        const int64_t *addrs = addr_b.buf;
-        const int64_t *pcs = pc_b.buf;
-        const int32_t *reqs = req_b.buf;
-        const int8_t *accs = acc_b.buf;
-
-        /* The full destination set (Broadcast-if-shared, snooping). */
-        uint64_t full_lo, full_hi;
-        if (n_nodes >= 128) {
-            full_lo = ~(uint64_t)0;
-            full_hi = ~(uint64_t)0;
-        }
-        else if (n_nodes >= 64) {
-            full_lo = ~(uint64_t)0;
-            full_hi = n_nodes > 64
-                          ? (((uint64_t)1 << (n_nodes - 64)) - 1)
-                          : 0;
-        }
-        else {
-            full_lo = ((uint64_t)1 << n_nodes) - 1;
-            full_hi = 0;
-        }
-
-        int64_t indirections = 0;
-        int64_t request_sum = 0;
-        int64_t forward_sum = 0;
-        int64_t retry_sum = 0;
-        int64_t retries_total = 0;
-
-        /* Accuracy scoring (MulticastSnoopingProtocol.accuracy): the
-         * predicted extras and the required nodes, both beyond the
-         * minimal set, in AccuracyReport.add_counts order. */
-        int64_t sc_required = 0;
-        int64_t sc_covered = 0;
-        int64_t sc_extra = 0;
-        int64_t sc_class[5] = {0, 0, 0, 0, 0};
-
-        /* Pending fused training batch (never engages for sticky,
-         * whose kernel has no train_external). */
-        int64_t p_key = 0;
-        int32_t p_req = -1;
-        int32_t p_code = -1;
-        uint64_t p_lo = 0, p_hi = 0;
-        int64_t p_count = 0;
-        int oom = 0;
-        int bad = 0;
-
-        Py_BEGIN_ALLOW_THREADS
-        for (Py_ssize_t i = 0; i < nrec; i++) {
-            const int64_t address = addrs[i];
-            const int32_t requester = reqs[i];
-            const int32_t code = accs[i];
-            if (requester < 0 || requester >= n_nodes) {
-                /* every table and mask below is indexed by it */
-                bad = 1;
-                goto compute_halt;
-            }
-            const int64_t block = address & block_mask;
-            const int64_t key = use_pc ? pcs[i] : (address >> gshift);
-            const int32_t home = (int32_t)((block >> block_shift) % n_nodes);
-            uint64_t reqbit_lo = 0, reqbit_hi = 0;
-            bit128_set(&reqbit_lo, &reqbit_hi, requester);
-            uint64_t minimal_lo = reqbit_lo, minimal_hi = reqbit_hi;
-            bit128_set(&minimal_lo, &minimal_hi, home);
-            const uint64_t notreq_lo = ~reqbit_lo;
-            const uint64_t notreq_hi = ~reqbit_hi;
-
-            if (p_count
-                && (key != p_key || requester != p_req || code != p_code)) {
-                policy_flush(policy, tablesA, tablesB, p_lo, p_hi, p_key,
-                             p_req, p_code, p_count, n_nodes, cmax, thr,
-                             rperiod, tdown);
-                p_count = 0;
-            }
-
-            /* FusedKernel.predict (destination = prediction | minimal). */
-            uint64_t dest_lo = minimal_lo, dest_hi = minimal_hi;
-            int32_t scratch = -1; /* predict's entry, reused by response */
-            switch (policy) {
-            case POLICY_GROUP: {
-                GTable *t = &tablesA[requester];
-                Py_ssize_t slot = map_find(&t->map, key);
-                if (slot >= 0) {
-                    scratch = (int32_t)t->map.v1[slot];
-                    if (t->bounded)
-                        t->stamps[scratch] = t->tick++;
-                    dest_lo |= t->bits_lo[scratch];
-                    dest_hi |= t->bits_hi[scratch];
-                }
-                break;
-            }
-            case POLICY_OWNER: {
-                GTable *t = &tablesA[requester];
-                Py_ssize_t slot = map_find(&t->map, key);
-                if (slot >= 0) {
-                    scratch = (int32_t)t->map.v1[slot];
-                    if (t->bounded)
-                        t->stamps[scratch] = t->tick++;
-                    if (t->valid[scratch])
-                        bit128_set(&dest_lo, &dest_hi, t->owner[scratch]);
-                }
-                break;
-            }
-            case POLICY_BIFS: {
-                GTable *t = &tablesA[requester];
-                Py_ssize_t slot = map_find(&t->map, key);
-                if (slot >= 0) {
-                    scratch = (int32_t)t->map.v1[slot];
-                    if (t->bounded)
-                        t->stamps[scratch] = t->tick++;
-                    if (t->counter[scratch] > 1) {
-                        dest_lo |= full_lo;
-                        dest_hi |= full_hi;
-                    }
-                }
-                break;
-            }
-            case POLICY_OWNER_GROUP: {
-                GTable *t =
-                    code ? &tablesB[requester] : &tablesA[requester];
-                Py_ssize_t slot = map_find(&t->map, key);
-                if (slot >= 0) {
-                    int32_t e = (int32_t)t->map.v1[slot];
-                    if (t->bounded)
-                        t->stamps[e] = t->tick++;
-                    if (code) {
-                        dest_lo |= t->bits_lo[e];
-                        dest_hi |= t->bits_hi[e];
-                    }
-                    else if (t->valid[e]) {
-                        bit128_set(&dest_lo, &dest_hi, t->owner[e]);
-                    }
-                }
-                break;
-            }
-            case POLICY_STICKY: { /* three neighbouring entries */
-                STable *st = &stables[requester];
-                int64_t bn = address >> sticky_shift;
-                for (int d = -1; d <= 1; d++) {
-                    int64_t nb = bn + d;
-                    int64_t idx = sticky_unbounded
-                                      ? nb
-                                      : floormod64(nb, sticky_entries);
-                    Py_ssize_t slot = map_find(&st->map, idx);
-                    if (slot >= 0) {
-                        Py_ssize_t s = (Py_ssize_t)st->map.v1[slot];
-                        dest_lo |= st->bits_lo[s];
-                        dest_hi |= st->bits_hi[s];
-                    }
-                }
-                break;
-            }
-            case POLICY_SNOOPING:
-                dest_lo = full_lo;
-                dest_hi = full_hi;
-                break;
-            default: /* POLICY_DIRECTORY multicasts nothing */
-                break;
-            }
-
-            /* Order on the global MOSI state (apply_fast). */
-            int64_t owner;
-            uint64_t sh_lo, sh_hi;
-            Py_ssize_t mslot = map_find(&mosi, block);
-            if (mslot < 0) {
-                owner = -1;
-                sh_lo = 0;
-                sh_hi = 0;
-            }
-            else {
-                owner = mosi.v1[mslot];
-                sh_lo = (uint64_t)mosi.v2[mslot];
-                sh_hi = (uint64_t)mosi.v3[mslot];
-            }
-            uint64_t req_lo = 0, req_hi = 0;
-            int64_t responder;
-            if (owner >= 0 && owner != requester) {
-                bit128_set(&req_lo, &req_hi, (int)owner);
-                responder = owner;
-            }
-            else {
-                responder = -1;
-            }
-            if (code) {
-                req_lo |= sh_lo & notreq_lo;
-                req_hi |= sh_hi & notreq_hi;
-                if (map_put3(&mosi, block, requester, 0, 0) < 0) {
-                    oom = 1;
-                    goto compute_halt;
-                }
-            }
-            else if (owner != requester) {
-                if (map_put3(&mosi, block, owner,
-                             (int64_t)(sh_lo | reqbit_lo),
-                             (int64_t)(sh_hi | reqbit_hi)) < 0) {
-                    oom = 1;
-                    goto compute_halt;
-                }
-            }
-
-            if (policy == POLICY_DIRECTORY) {
-                /* One request to the home (free when the requester is
-                 * home), one forward per node that must observe. */
-                int64_t requests = home != requester;
-                int64_t forwards = popcount128(req_lo, req_hi);
-                request_sum += requests;
-                forward_sum += forwards;
-                indirections += (req_lo | req_hi) != 0;
-                double lat = responder == -1 ? lat_mem : lat_ind;
-                latency_sum += lat;
-                if (want_out) {
-                    lat_out[i] = lat;
-                    tb_out[i] = (requests + forwards) * control + data_size;
-                }
-                continue;
-            }
-
-            int64_t dcount = popcount128(dest_lo, dest_hi);
-            request_sum += dcount - 1;
-            uint64_t del_lo = dest_lo, del_hi = dest_hi;
-            if (((req_lo & ~dest_lo) | (req_hi & ~dest_hi)) == 0) {
-                double lat = responder == -1 ? lat_mem : lat_dir;
-                latency_sum += lat;
-                if (want_out) {
-                    lat_out[i] = lat;
-                    tb_out[i] = (dcount - 1) * control + data_size;
-                }
-            }
-            else {
-                uint64_t cor_lo = req_lo | minimal_lo;
-                uint64_t cor_hi = req_hi | minimal_hi;
-                int64_t retry_messages = popcount128(cor_lo, cor_hi) - 1;
-                del_lo |= cor_lo;
-                del_hi |= cor_hi;
-                retry_sum += retry_messages;
-                retries_total += 1;
-                indirections++;
-                latency_sum += lat_ind;
-                if (want_out) {
-                    lat_out[i] = lat_ind;
-                    tb_out[i] =
-                        (dcount - 1 + retry_messages) * control + data_size;
-                }
-            }
-
-            if (policy == POLICY_SNOOPING)
-                continue; /* no predictor to train or score */
-
-            if (want_score) {
-                const uint64_t x_lo = dest_lo & ~minimal_lo;
-                const uint64_t x_hi = dest_hi & ~minimal_hi;
-                const uint64_t n_lo = req_lo & ~minimal_lo;
-                const uint64_t n_hi = req_hi & ~minimal_hi;
-                sc_required += popcount128(n_lo, n_hi);
-                sc_covered += popcount128(n_lo & x_lo, n_hi & x_hi);
-                sc_extra += popcount128(x_lo, x_hi);
-                /* trivial, exact, over, under, mixed */
-                int cls;
-                if (!(x_lo | x_hi | n_lo | n_hi))
-                    cls = 0;
-                else if (x_lo == n_lo && x_hi == n_hi)
-                    cls = 1;
-                else if (!((n_lo & ~x_lo) | (n_hi & ~x_hi)))
-                    cls = 2;
-                else if (!((x_lo & ~n_lo) | (x_hi & ~n_hi)))
-                    cls = 3;
-                else
-                    cls = 4;
-                sc_class[cls]++;
-            }
-
-            /* Data-response training at the requester. */
-            int allocate = (req_lo | req_hi) != 0;
-            switch (policy) {
-            case POLICY_GROUP: {
-                GTable *t = &tablesA[requester];
-                int32_t e = scratch;
-                if (e < 0 && allocate) {
-                    e = gtable_allocate(t, key, n_nodes);
-                    if (e < 0) {
-                        oom = 1;
-                        goto compute_halt;
-                    }
-                }
-                if (e >= 0 && responder != -1)
-                    group_train(t, e, (int32_t)responder, n_nodes, cmax,
-                                thr, rperiod, tdown);
-                break;
-            }
-            case POLICY_OWNER: {
-                GTable *t = &tablesA[requester];
-                int32_t e = scratch;
-                if (e < 0) {
-                    if (!allocate)
-                        break;
-                    e = gtable_allocate(t, key, n_nodes);
-                    if (e < 0) {
-                        oom = 1;
-                        goto compute_halt;
-                    }
-                }
-                if (responder == -1) {
-                    t->valid[e] = 0;
-                }
-                else {
-                    t->owner[e] = (int32_t)responder;
-                    t->valid[e] = 1;
-                }
-                break;
-            }
-            case POLICY_BIFS: {
-                GTable *t = &tablesA[requester];
-                int32_t e = scratch;
-                if (e < 0) {
-                    if (!allocate)
-                        break;
-                    e = gtable_allocate(t, key, n_nodes);
-                    if (e < 0) {
-                        oom = 1;
-                        goto compute_halt;
-                    }
-                }
-                if (responder == -1 && !allocate) {
-                    if (t->counter[e] > 0)
-                        t->counter[e]--;
-                }
-                else if (t->counter[e] < cmax) {
-                    t->counter[e]++;
-                }
-                break;
-            }
-            case POLICY_OWNER_GROUP: {
-                GTable *t = &tablesA[requester];
-                Py_ssize_t slot = map_find(&t->map, key);
-                int32_t e = -1;
-                if (slot >= 0) {
-                    e = (int32_t)t->map.v1[slot];
-                    if (t->bounded)
-                        t->stamps[e] = t->tick++;
-                }
-                else if (allocate) {
-                    e = gtable_allocate(t, key, n_nodes);
-                    if (e < 0) {
-                        oom = 1;
-                        goto compute_halt;
-                    }
-                }
-                if (e >= 0) {
-                    if (responder == -1) {
-                        t->valid[e] = 0;
-                    }
-                    else {
-                        t->owner[e] = (int32_t)responder;
-                        t->valid[e] = 1;
-                    }
-                }
-                GTable *g = &tablesB[requester];
-                slot = map_find(&g->map, key);
-                e = -1;
-                if (slot >= 0) {
-                    e = (int32_t)g->map.v1[slot];
-                    if (g->bounded)
-                        g->stamps[e] = g->tick++;
-                }
-                else if (allocate) {
-                    e = gtable_allocate(g, key, n_nodes);
-                    if (e < 0) {
-                        oom = 1;
-                        goto compute_halt;
-                    }
-                }
-                if (e >= 0 && responder != -1)
-                    group_train(g, e, (int32_t)responder, n_nodes, cmax,
-                                thr, rperiod, tdown);
-                break;
-            }
-            default:
-                break; /* sticky train_response is a no-op */
-            }
-
-            if (policy == POLICY_STICKY) {
-                /* Directory truth training (train_truth). */
-                uint64_t tr_lo = req_lo, tr_hi = req_hi;
-                bit128_set(&tr_lo, &tr_hi, home);
-                STable *st = &stables[requester];
-                int64_t bn = address >> sticky_shift;
-                int64_t idx = sticky_unbounded
-                                  ? bn
-                                  : floormod64(bn, sticky_entries);
-                Py_ssize_t slot = map_find(&st->map, idx);
-                if (slot < 0) {
-                    if (stable_append(st, idx, bn, tr_lo, tr_hi) < 0) {
-                        oom = 1;
-                        goto compute_halt;
-                    }
-                    st->n_alloc++;
-                }
-                else {
-                    Py_ssize_t s = (Py_ssize_t)st->map.v1[slot];
-                    if (st->tags[s] == bn) {
-                        st->bits_lo[s] |= tr_lo;
-                        st->bits_hi[s] |= tr_hi;
-                    }
-                    else {
-                        st->tags[s] = bn;
-                        st->bits_lo[s] = tr_lo;
-                        st->bits_hi[s] = tr_hi;
-                        st->n_repl++;
-                    }
-                }
-            }
-            else {
-                /* External-request training batch. */
-                uint64_t ext_lo = del_lo & notreq_lo;
-                uint64_t ext_hi = del_hi & notreq_hi;
-                if (p_count && ext_lo == p_lo && ext_hi == p_hi) {
-                    p_count++;
-                }
-                else {
-                    if (p_count)
-                        policy_flush(policy, tablesA, tablesB, p_lo, p_hi,
-                                     p_key, p_req, p_code, p_count, n_nodes,
-                                     cmax, thr, rperiod, tdown);
-                    p_key = key;
-                    p_req = requester;
-                    p_code = code;
-                    p_lo = ext_lo;
-                    p_hi = ext_hi;
-                    p_count = 1;
-                }
-            }
-        }
-        if (p_count)
-            policy_flush(policy, tablesA, tablesB, p_lo, p_hi, p_key,
-                         p_req, p_code, p_count, n_nodes, cmax, thr,
-                         rperiod, tdown);
-    compute_halt:;
-        Py_END_ALLOW_THREADS
-        if (oom) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        if (bad) {
-            /* Nothing has been written back: the Python state is as
-             * it was before the call. */
-            PyErr_SetString(PyExc_ValueError,
-                            "policy_replay: requester out of range");
-            goto done;
-        }
-
-        /* Write every piece of state back, then build the result. */
-        if (policy == POLICY_STICKY) {
-            for (int i = 0; i < n_nodes; i++) {
-                if (stable_sync(&stables[i],
-                                PyList_GET_ITEM(sticky_obj, i)) < 0)
-                    goto done;
-            }
-        }
-        else if (!baseline) {
-            for (int i = 0; i < n_nodes; i++) {
-                if (gtable_sync(&tablesA[i],
-                                PyList_GET_ITEM(tablesA_obj, i),
-                                PyList_GET_ITEM(factoriesA_obj, i), n_nodes)
-                    < 0)
-                    goto done;
-            }
-            if (policy == POLICY_OWNER_GROUP) {
-                for (int i = 0; i < n_nodes; i++) {
-                    if (gtable_sync(&tablesB[i],
-                                    PyList_GET_ITEM(tablesB_obj, i),
-                                    PyList_GET_ITEM(factoriesB_obj, i),
-                                    n_nodes)
-                        < 0)
-                        goto done;
-                }
-            }
-        }
-        if (mosi_sync(&mosi, state_obj) < 0)
-            goto done;
-
-        PyObject *lat_bytes = Py_None;
-        PyObject *tb_bytes = Py_None;
-        Py_INCREF(Py_None);
-        Py_INCREF(Py_None);
-        if (want_out) {
-            Py_DECREF(Py_None);
-            Py_DECREF(Py_None);
-            lat_bytes = PyBytes_FromStringAndSize(
-                (const char *)lat_out, nrec * (Py_ssize_t)sizeof(double));
-            tb_bytes = PyBytes_FromStringAndSize(
-                (const char *)tb_out, nrec * (Py_ssize_t)sizeof(int64_t));
-            if (!lat_bytes || !tb_bytes) {
-                Py_XDECREF(lat_bytes);
-                Py_XDECREF(tb_bytes);
-                goto done;
-            }
-        }
-        PyObject *score = Py_None;
-        if (want_score && !baseline)
-            score = Py_BuildValue(
-                "(LLLLLLLLL)", (long long)nrec, (long long)sc_required,
-                (long long)sc_covered, (long long)sc_extra,
-                (long long)sc_class[0], (long long)sc_class[1],
-                (long long)sc_class[2], (long long)sc_class[3],
-                (long long)sc_class[4]);
-        else
-            Py_INCREF(Py_None);
-        if (!score) {
-            Py_DECREF(lat_bytes);
-            Py_DECREF(tb_bytes);
-            goto done;
-        }
-        result = Py_BuildValue(
-            "LLLLLLdNNN", (long long)nrec, (long long)indirections,
-            (long long)request_sum, (long long)forward_sum,
-            (long long)retry_sum, (long long)retries_total, latency_sum,
-            lat_bytes, tb_bytes, score);
+    ReplayCounts counts;
+    memset(&counts, 0, sizeof(counts));
+    counts.latency_sum = latency_sum;
+    int status;
+    int64_t compute_started = monotonic_ns();
+    Py_BEGIN_ALLOW_THREADS
+    status = replay_compute(self, addr_b.buf, pc_b.buf, req_b.buf, acc_b.buf,
+                            nrec, lat_out, tb_out, want_score, &counts);
+    Py_END_ALLOW_THREADS
+    int64_t compute_ns = monotonic_ns() - compute_started;
+    if (status == REPLAY_OOM) {
+        self->broken = 1; /* the loop stopped part-way through */
+        PyErr_NoMemory();
+        goto done;
     }
+    if (status == REPLAY_BAD_REQUESTER) {
+        /* Checked before the loop: the session state is untouched. */
+        PyErr_SetString(PyExc_ValueError,
+                        "ReplaySession: requester out of range");
+        goto done;
+    }
+
+    PyObject *lat_bytes = Py_None;
+    PyObject *tb_bytes = Py_None;
+    if (want_out) {
+        lat_bytes = PyBytes_FromStringAndSize(
+            (const char *)lat_out, nrec * (Py_ssize_t)sizeof(double));
+        tb_bytes = lat_bytes ? PyBytes_FromStringAndSize(
+                                   (const char *)tb_out,
+                                   nrec * (Py_ssize_t)sizeof(int64_t))
+                             : NULL;
+        if (!tb_bytes) {
+            Py_XDECREF(lat_bytes);
+            goto done;
+        }
+    }
+    else {
+        Py_INCREF(Py_None);
+        Py_INCREF(Py_None);
+    }
+    PyObject *score = Py_None;
+    if (want_score && !is_baseline(self->policy))
+        score = Py_BuildValue(
+            "(LLLLLLLLL)", (long long)nrec, (long long)counts.sc_required,
+            (long long)counts.sc_covered, (long long)counts.sc_extra,
+            (long long)counts.sc_class[0], (long long)counts.sc_class[1],
+            (long long)counts.sc_class[2], (long long)counts.sc_class[3],
+            (long long)counts.sc_class[4]);
+    else
+        Py_INCREF(Py_None);
+    if (!score) {
+        Py_DECREF(lat_bytes);
+        Py_DECREF(tb_bytes);
+        goto done;
+    }
+    int64_t marshal_ns = monotonic_ns() - started - compute_ns;
+    result = Py_BuildValue(
+        "LLLLLLdNNNLL", (long long)nrec, (long long)counts.indirections,
+        (long long)counts.request_sum, (long long)counts.forward_sum,
+        (long long)counts.retry_sum, (long long)counts.retries_total,
+        counts.latency_sum, lat_bytes, tb_bytes, score,
+        (long long)marshal_ns, (long long)compute_ns);
 
 done:
-    if (fallback && !PyErr_Occurred()) {
-        result = Py_None;
-        Py_INCREF(Py_None);
-    }
-    if (tablesA) {
-        for (int i = 0; i < n_nodes; i++)
-            gtable_free(&tablesA[i]);
-        PyMem_RawFree(tablesA);
-    }
-    if (tablesB) {
-        for (int i = 0; i < n_nodes; i++)
-            gtable_free(&tablesB[i]);
-        PyMem_RawFree(tablesB);
-    }
-    if (stables) {
-        for (int i = 0; i < n_nodes; i++)
-            stable_free(&stables[i]);
-        PyMem_RawFree(stables);
-    }
-    if (mosi.keys)
-        map_free(&mosi);
+    if (entered)
+        nreplay_leave(self);
     PyMem_RawFree(lat_out);
     PyMem_RawFree(tb_out);
     PyBuffer_Release(&addr_b);
@@ -2236,6 +2405,27 @@ done:
     PyBuffer_Release(&acc_b);
     return result;
 }
+
+static PyMethodDef nreplay_methods[] = {
+    {"load", (PyCFunction)nreplay_load, METH_VARARGS,
+     "Adopt the protocol's Python replay state; marshal ns, or None."},
+    {"replay", (PyCFunction)nreplay_replay, METH_VARARGS,
+     "Replay trace columns against the resident state."},
+    {"sync", (PyCFunction)nreplay_sync, METH_VARARGS,
+     "Materialise the resident state into the Python objects; ns."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject NReplayType = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name =
+        "repro.kernels._native.ReplaySession",
+    .tp_basicsize = sizeof(NReplay),
+    .tp_dealloc = (destructor)nreplay_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One protocol's replay state, resident between calls.",
+    .tp_methods = nreplay_methods,
+    .tp_new = nreplay_new,
+};
 
 /* ------------------------------------------------------------------ */
 /* Collector: mirror of TraceCollector.process_chunk with the cache    */
@@ -2886,10 +3076,6 @@ static PyMethodDef native_methods[] = {
      "Crossbar + simple-processor timing pass over outcome columns."},
     {"timing_pass_detailed", timing_pass_detailed, METH_VARARGS,
      "Crossbar + detailed-processor timing pass over outcome columns."},
-    {"policy_replay", policy_replay, METH_VARARGS,
-     "Fused replay over trace columns for one of the five compiled"
-     " predictor policies or the directory / broadcast-snooping"
-     " protocol modes."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2907,7 +3093,7 @@ PyInit__native(void)
     PyObject *m = PyModule_Create(&native_module);
     if (!m)
         return NULL;
-    if (PyType_Ready(&NCollectorType) < 0) {
+    if (PyType_Ready(&NCollectorType) < 0 || PyType_Ready(&NReplayType) < 0) {
         Py_DECREF(m);
         return NULL;
     }
@@ -2918,7 +3104,14 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 5) < 0
+    Py_INCREF(&NReplayType);
+    if (PyModule_AddObject(m, "ReplaySession", (PyObject *)&NReplayType)
+        < 0) {
+        Py_DECREF(&NReplayType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 6) < 0
         || PyModule_AddIntConstant(m, "POLICY_GROUP", POLICY_GROUP) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER", POLICY_OWNER) < 0
         || PyModule_AddIntConstant(m, "POLICY_BIFS", POLICY_BIFS) < 0

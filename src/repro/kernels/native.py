@@ -1,23 +1,35 @@
 """Marshalling glue between the kernel ABI and the C extension.
 
 Each function here checks the native envelope (node count, race
-probability, key-index shape, column dtypes), flattens the Python-side
-state into the argument shapes :mod:`repro.kernels._native` consumes,
-and folds the results back through the exact accounting statements the
-Python loops execute — so a native call is indistinguishable from the
-Python tier on every observable (ResultSet JSON, predictor tables,
-cache/MOSI state, hex-float timing goldens).
+probability, key-index shape, column dtypes) and hands the extension
+flat columns plus config scalars, folding the results back through the
+exact accounting statements the Python loops execute — so a native
+call is indistinguishable from the Python tier on every observable
+(ResultSet JSON, predictor tables, cache/MOSI state, hex-float timing
+goldens).
+
+Mutable state lives in two session types, modelled the same way: a
+``_CollectorSession`` owns a collector's cache/MOSI state while chunks
+stream through it, and a ``_ReplaySession`` owns a protocol's MOSI map
+and predictor tables across its replay calls.  Each adopts the Python
+state once (``load``), ships only columns per call, and writes the
+state back (``sync``) only when Python reads it — for a replay session
+that is never, in a sweep cell.
 
 Callers come through :mod:`repro.kernels` (``try_group_replay`` /
-``try_policy_replay`` / ``try_baseline_replay`` / ``try_timing_pass`` /
+``try_policy_replay`` / ``try_baseline_replay`` /
+``try_session_replay`` / ``try_timing_pass`` /
 ``try_timing_pass_detailed`` / ``collector_session``), which has
 already established that the native tier is active.  Every decline is
-recorded via :func:`repro.kernels.record_decline` so sweeps can report
-where the native tier fell back and why.
+recorded via :func:`repro.kernels.record_decline` and every session
+call's phase nanoseconds via :func:`repro.kernels.record_phases`, so
+sweeps can report where the native tier fell back and where its time
+went.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Optional
 
@@ -41,7 +53,7 @@ def _ext():
 
 
 # ----------------------------------------------------------------------
-# policy replay: repro.protocols.fused.run_group / run_kernel, and the
+# replay sessions: repro.protocols.fused.run_group / run_kernel, and the
 # directory / broadcast-snooping _handle_fast loops
 # ----------------------------------------------------------------------
 
@@ -107,107 +119,172 @@ def _replay_geometry(proto, kernel_name, check_index=True):
     return n, use_pc, gshift, block_size
 
 
-def _run_policy_replay(
+class _ReplaySession:
+    """One protocol's replay state, resident in a ``ReplaySession``.
+
+    Opened on the protocol's first native replay and attached as the
+    ``_session`` of the protocol and of each predictor (see "Resident
+    replay state" in :mod:`repro.kernels`).  ``replay`` ships only the
+    trace columns; ``materialise`` writes the native state back into
+    the protocol's Python objects and detaches the session, and runs
+    only when a Python reader asks for the state.
+
+    Strong references go only to the containers ``sync`` refills (the
+    MOSI block dict, the predictor tables); the holders that point
+    back here are weak references, so a finished cell's protocol and
+    its native state are freed by reference counting rather than
+    waiting for the cycle collector.
+    """
+
+    __slots__ = ("_native", "_kernel", "_blocks", "_tables_a",
+                 "_tables_b", "_sticky", "_holders")
+
+    def __init__(self, native, kernel, proto, tables_a, tables_b, sticky):
+        self._native = native
+        self._kernel = kernel
+        self._blocks = proto._state._blocks
+        self._tables_a = tables_a
+        self._tables_b = tables_b
+        self._sticky = sticky
+        predictors = getattr(proto, "_predictors", ())
+        self._holders = tuple(
+            weakref.ref(holder) for holder in (proto, *predictors)
+        )
+
+    def _sticky_targets(self):
+        if not self._sticky:
+            return None
+        return [ref() for ref in self._holders[1:]]
+
+    def attach(self) -> bool:
+        """Adopt the protocol's Python state and attach; False (decline
+        recorded) when that state is outside the envelope."""
+        marshal_ns = self._native.load(
+            self._blocks, self._tables_a, self._tables_b,
+            self._sticky_targets(),
+        )
+        if marshal_ns is None:
+            return False
+        _kernels.record_phases(marshal_ns, 0, 0)
+        for ref in self._holders:
+            ref()._session = self
+        return True
+
+    def replay(self, proto, trace, out) -> bool:
+        """One replay call folded into ``proto``'s totals (and its
+        accuracy report when one is set)."""
+        if getattr(proto, "race_probability", 0.0):
+            # Set after the session opened; the Python tier draws the
+            # races.
+            _kernels.record_decline(self._kernel, "race-probability")
+            self.materialise()
+            return False
+        columns = _trace_columns(trace)
+        if columns is None:  # pragma: no cover - fixed typecodes
+            _kernels.record_decline(self._kernel, "envelope")
+            self.materialise()
+            return False
+        report = getattr(proto, "accuracy", None)
+        totals = proto.totals
+        (
+            misses,
+            indirections,
+            request_messages,
+            forward_messages,
+            retry_messages,
+            retries_total,
+            latency_sum,
+            lat_bytes,
+            tb_bytes,
+            score,
+            marshal_ns,
+            compute_ns,
+        ) = self._native.replay(
+            *columns, totals.latency_ns_sum, out is not None,
+            report is not None,
+        )
+        _kernels.record_phases(marshal_ns, compute_ns, 0)
+        if score is not None:
+            report.add_counts(*score)
+        if out is not None:
+            out.latency_ns.frombytes(lat_bytes)
+            out.transfer_bytes.frombytes(tb_bytes)
+        traffic = proto.traffic
+        traffic_bytes = (
+            (request_messages + forward_messages + retry_messages)
+            * traffic.control_bytes
+            + misses * traffic.data_bytes
+        )
+        totals.add_batch(
+            misses, indirections, request_messages, forward_messages,
+            retry_messages, misses, traffic_bytes, latency_sum,
+            retries_total,
+        )
+        return True
+
+    def materialise(self) -> None:
+        """Write the native state back into the Python objects, then
+        detach from every holder."""
+        writeback_ns = self._native.sync(
+            self._blocks, self._tables_a, self._tables_b,
+            self._sticky_targets(),
+        )
+        _kernels.record_phases(0, 0, writeback_ns)
+        for ref in self._holders:
+            holder = ref()
+            if holder is not None and holder._session is self:
+                # Back to the class default (None), leaving no instance
+                # attribute behind for state snapshots to see.
+                del holder._session
+
+
+def _open_session(
     proto,
     trace,
     out,
     kernel_name,
     policy,
-    n,
-    use_pc,
-    gshift,
-    block_size,
-    tables_a,
-    factories_a,
-    tables_b,
-    factories_b,
-    cmax,
-    thr,
-    rperiod,
-    tdown,
-    sticky_predictors,
-    sticky_unbounded,
-    sticky_entries,
-    sticky_shift,
-    report=None,
+    geometry,
+    tables_a=None,
+    tables_b=None,
+    sticky=False,
+    tuning=(0, 0, 0, False),
+    sticky_geometry=(False, 0, 0),
 ) -> bool:
-    """One ``policy_replay`` call, folded into ``proto``'s totals.
-
-    With ``report`` (an :class:`~repro.analysis.accuracy.AccuracyReport`)
-    the kernel also scores every prediction and the counters are
-    folded into it.
-    """
-    columns = _trace_columns(trace)
-    if columns is None:  # pragma: no cover - fixed typecodes
-        _kernels.record_decline(kernel_name, "envelope")
-        return False
-    addresses, pcs, requesters, accesses = columns
-    totals = proto.totals
-    result = _ext().policy_replay(
+    """Create, load and attach ``proto``'s replay session, then run the
+    first replay on it.  False -> caller runs the Python tier."""
+    n, use_pc, gshift, block_size = geometry
+    cmax, thr, rperiod, tdown = tuning
+    sticky_unbounded, sticky_entries, sticky_shift = sticky_geometry
+    native = _ext().ReplaySession(
         policy,
-        addresses,
-        pcs,
-        requesters,
-        accesses,
         n,
         ~(block_size - 1),
         block_size.bit_length() - 1,
         1 if use_pc else 0,
         gshift,
-        tables_a,
-        factories_a,
-        tables_b,
-        factories_b,
         cmax,
         thr,
         rperiod,
         1 if tdown else 0,
-        sticky_predictors,
         1 if sticky_unbounded else 0,
         sticky_entries,
         sticky_shift,
-        proto.state._blocks,
         proto._lat_memory,
         proto._lat_direct,
         proto._lat_indirect,
         proto.traffic.control_bytes,
         proto.traffic.data_bytes,
-        totals.latency_ns_sum,
-        0 if out is None else 1,
-        0 if report is None else 1,
     )
-    if result is None:
+    session = _ReplaySession(
+        native, kernel_name, proto, tables_a, tables_b, sticky
+    )
+    if not session.attach():
         # State outside the envelope (e.g. an int64-overflowing key);
         # nothing was touched.
         _kernels.record_decline(kernel_name, "overflow")
         return False
-    (
-        misses,
-        indirections,
-        request_messages,
-        forward_messages,
-        retry_messages,
-        retries_total,
-        latency_sum,
-        lat_bytes,
-        tb_bytes,
-        score,
-    ) = result
-    if report is not None:
-        report.add_counts(*score)
-    if out is not None:
-        out.latency_ns.frombytes(lat_bytes)
-        out.transfer_bytes.frombytes(tb_bytes)
-    traffic_bytes = (
-        (request_messages + forward_messages + retry_messages)
-        * proto.traffic.control_bytes
-        + misses * proto.traffic.data_bytes
-    )
-    totals.add_batch(
-        misses, indirections, request_messages, forward_messages,
-        retry_messages, misses, traffic_bytes, latency_sum, retries_total,
-    )
-    return True
+    return session.replay(proto, trace, out)
 
 
 def group_replay(proto, trace, out=None) -> bool:
@@ -224,18 +301,14 @@ def group_replay(proto, trace, out=None) -> bool:
     geometry = _replay_geometry(proto, "group_replay")
     if geometry is None:
         return False
-    n, use_pc, gshift, block_size = geometry
-
-    predictors = proto._predictors
-    tables = [p._table for p in predictors]
-    first = predictors[0]
-    ext = _ext()
-    return _run_policy_replay(
-        proto, trace, out, "group_replay", ext.POLICY_GROUP,
-        n, use_pc, gshift, block_size,
-        list(tables), [t._entry_factory for t in tables], None, None,
-        first._counter_max, first._threshold, first._rollover_period,
-        first._train_down, None, 0, 0, 0, proto.accuracy,
+    first = proto._predictors[0]
+    return _open_session(
+        proto, trace, out, "group_replay", _ext().POLICY_GROUP, geometry,
+        tables_a=[p._table for p in proto._predictors],
+        tuning=(
+            first._counter_max, first._threshold, first._rollover_period,
+            first._train_down,
+        ),
     )
 
 
@@ -246,7 +319,7 @@ def policy_replay(proto, trace, out=None) -> bool:
     Mirrors each policy's ``fused_kernel`` eligibility exactly: the
     caller has established a homogeneous predictor list whose fused
     kernel exists, and this function re-derives the same uniformity
-    conditions before handing the flat table state to the extension.
+    conditions before opening the replay session.
     False -> caller runs the Python fused loop (decline recorded).
     """
     from repro.predictors.broadcast_if_shared import (
@@ -268,7 +341,6 @@ def policy_replay(proto, trace, out=None) -> bool:
         )
         if geometry is None:
             return False
-        n, use_pc, gshift, block_size = geometry
         config = predictors[0].config
         if any(p.config != config for p in predictors):
             _kernels.record_decline("policy_replay", "envelope")
@@ -283,19 +355,18 @@ def policy_replay(proto, trace, out=None) -> bool:
         if not unbounded and n_entries <= 0:
             _kernels.record_decline("policy_replay", "envelope")
             return False
-        return _run_policy_replay(
+        return _open_session(
             proto, trace, out, "policy_replay", ext.POLICY_STICKY,
-            n, use_pc, gshift, block_size,
-            None, None, None, None, 0, 0, 0, 0,
-            list(predictors), unbounded, n_entries,
-            granularity.bit_length() - 1, proto.accuracy,
+            geometry, sticky=True,
+            sticky_geometry=(
+                unbounded, n_entries, granularity.bit_length() - 1
+            ),
         )
 
     if first_type is OwnerPredictor or first_type is BroadcastIfSharedPredictor:
         geometry = _replay_geometry(proto, "policy_replay")
         if geometry is None:
             return False
-        n, use_pc, gshift, block_size = geometry
         tables = [p._table for p in predictors]
         bounded = tables[0]._bounded
         if any(t._bounded != bounded for t in tables):
@@ -308,18 +379,15 @@ def policy_replay(proto, trace, out=None) -> bool:
             policy, cmax = ext.POLICY_OWNER, 0
         else:
             policy, cmax = ext.POLICY_BIFS, _BIFS_COUNTER_MAX
-        return _run_policy_replay(
-            proto, trace, out, "policy_replay", policy,
-            n, use_pc, gshift, block_size,
-            list(tables), [t._entry_factory for t in tables], None, None,
-            cmax, 0, 0, 0, None, 0, 0, 0, proto.accuracy,
+        return _open_session(
+            proto, trace, out, "policy_replay", policy, geometry,
+            tables_a=tables, tuning=(cmax, 0, 0, False),
         )
 
     if first_type is OwnerGroupPredictor:
         geometry = _replay_geometry(proto, "policy_replay")
         if geometry is None:
             return False
-        n, use_pc, gshift, block_size = geometry
         owners = [p._owner for p in predictors]
         groups = [p._group for p in predictors]
         if any(type(o) is not OwnerPredictor for o in owners) or any(
@@ -328,15 +396,13 @@ def policy_replay(proto, trace, out=None) -> bool:
             _kernels.record_decline("policy_replay", "envelope")
             return False
         g0 = groups[0]
-        cmax = g0._counter_max
-        thr = g0._threshold
-        rperiod = g0._rollover_period
-        tdown = g0._train_down
+        tuning = (
+            g0._counter_max, g0._threshold, g0._rollover_period,
+            g0._train_down,
+        )
         if any(
-            g._counter_max != cmax
-            or g._threshold != thr
-            or g._rollover_period != rperiod
-            or g._train_down != tdown
+            (g._counter_max, g._threshold, g._rollover_period,
+             g._train_down) != tuning
             for g in groups
         ):
             _kernels.record_decline("policy_replay", "envelope")
@@ -351,12 +417,9 @@ def policy_replay(proto, trace, out=None) -> bool:
             # halves on every node; see the Owner/BIFS note above.
             _kernels.record_decline("policy_replay", "envelope")
             return False
-        return _run_policy_replay(
+        return _open_session(
             proto, trace, out, "policy_replay", ext.POLICY_OWNER_GROUP,
-            n, use_pc, gshift, block_size,
-            list(o_tables), [t._entry_factory for t in o_tables],
-            list(g_tables), [t._entry_factory for t in g_tables],
-            cmax, thr, rperiod, tdown, None, 0, 0, 0, proto.accuracy,
+            geometry, tables_a=o_tables, tables_b=g_tables, tuning=tuning,
         )
 
     # Uniform stock GroupPredictors route through try_group_replay;
@@ -368,27 +431,24 @@ def policy_replay(proto, trace, out=None) -> bool:
 def baseline_replay(proto, trace, out=None) -> bool:
     """Native directory / broadcast-snooping replay.
 
-    The ``policy_replay`` kernel's two protocol modes: the same MOSI
-    core as the predictor policies, with only the block map crossing
-    the boundary.  The caller has established that the protocol's
-    ``_handle_fast`` is the stock one.  False -> caller runs the
-    Python loop (decline recorded).
+    The replay kernel's two protocol modes: the same MOSI core as the
+    predictor policies, with a session that holds only the block map.
+    The caller has established that the protocol's ``_handle_fast`` is
+    the stock one.  False -> caller runs the Python loop (decline
+    recorded).
     """
     from repro.protocols.directory import DirectoryProtocol
 
     geometry = _replay_geometry(proto, "policy_replay", check_index=False)
     if geometry is None:
         return False
-    n, use_pc, gshift, block_size = geometry
     ext = _ext()
     if isinstance(proto, DirectoryProtocol):
         policy = ext.POLICY_DIRECTORY
     else:
         policy = ext.POLICY_SNOOPING
-    return _run_policy_replay(
-        proto, trace, out, "policy_replay", policy,
-        n, use_pc, gshift, block_size,
-        None, None, None, None, 0, 0, 0, 0, None, 0, 0, 0,
+    return _open_session(
+        proto, trace, out, "policy_replay", policy, geometry
     )
 
 

@@ -207,6 +207,12 @@ class DestinationSetPredictor(abc.ABC):
     #: Short name used in reports and the registry.
     policy_name: str = ""
 
+    #: The protocol's native replay session while it holds this
+    #: predictor's table state (see "Resident replay state" in
+    #: :mod:`repro.kernels`); readers outside the protocol's hot paths
+    #: call :meth:`_materialise` first.
+    _session = None
+
     def __init__(self, n_nodes: int, config: PredictorConfig):
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
@@ -335,6 +341,12 @@ class DestinationSetPredictor(abc.ABC):
     def stats(self) -> dict:
         """Implementation counters for reports/tests."""
         return {}
+
+    def _materialise(self) -> None:
+        """Bring this predictor's Python state up to date with a native
+        replay session that holds it, if any."""
+        if self._session is not None:
+            self._session.materialise()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_nodes={self.n_nodes})"

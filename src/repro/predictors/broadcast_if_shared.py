@@ -221,6 +221,7 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
         return 2
 
     def stats(self) -> dict:
+        self._materialise()
         return {
             "entries": self._table.occupancy(),
             "allocations": self._table.n_allocations,

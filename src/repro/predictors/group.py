@@ -14,6 +14,7 @@ instead of scanning all per-processor counters on every request.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from repro.common.destset import DestinationSet
@@ -73,13 +74,14 @@ class GroupPredictor(DestinationSetPredictor):
         self._counter_max = (1 << counter_bits) - 1
         self._threshold = self._counter_max // 2
         self._counter_bits = counter_bits
+        # A partial, not a bound method: the table must not refer back
+        # to its predictor, or every predictor would be a reference
+        # cycle that outlives its protocol until the cycle collector
+        # runs.
         self._table: PredictorTable[_GroupEntry] = PredictorTable(
-            config, self._make_entry
+            config, functools.partial(_GroupEntry, n_nodes)
         )
         self._empty = DestinationSet.empty(n_nodes)
-
-    def _make_entry(self) -> _GroupEntry:
-        return _GroupEntry(self.n_nodes)
 
     # ------------------------------------------------------------------
     def predict_key(
@@ -193,6 +195,7 @@ class GroupPredictor(DestinationSetPredictor):
         return self._counter_bits * self.n_nodes + 5
 
     def stats(self) -> dict:
+        self._materialise()
         return {
             "entries": self._table.occupancy(),
             "allocations": self._table.n_allocations,

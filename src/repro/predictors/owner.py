@@ -210,6 +210,7 @@ class OwnerPredictor(DestinationSetPredictor):
         return max(1, (self.n_nodes - 1).bit_length()) + 1
 
     def stats(self) -> dict:
+        self._materialise()
         return {
             "entries": self._table.occupancy(),
             "allocations": self._table.n_allocations,

@@ -257,6 +257,7 @@ class OwnerGroupPredictor(DestinationSetPredictor):
         return self._owner.entry_bits() + self._group.entry_bits()
 
     def stats(self) -> dict:
+        self._materialise()
         return {
             "owner": self._owner.stats(),
             "group": self._group.stats(),

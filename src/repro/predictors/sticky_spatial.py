@@ -164,6 +164,7 @@ class StickySpatialPredictor(DestinationSetPredictor):
         return self.n_nodes
 
     def stats(self) -> dict:
+        self._materialise()
         return {
             "entries": len(self._entries),
             "allocations": self.n_allocations,

@@ -211,11 +211,16 @@ class CoherenceProtocol(abc.ABC):
     #: Protocol name for reports.
     name: str = ""
 
+    #: The native replay session holding this protocol's state, or
+    #: None while the Python objects are current (see "Resident replay
+    #: state" in :mod:`repro.kernels`).
+    _session = None
+
     def __init__(self, config: SystemConfig):
         self.config = config
         self.latency = LatencyModel.from_config(config)
         self.traffic = TrafficModel.from_config(config)
-        self.state = GlobalCoherenceState(
+        self._state = GlobalCoherenceState(
             config.n_processors, config.block_size
         )
         self.totals = TrafficTotals()
@@ -225,6 +230,14 @@ class CoherenceProtocol(abc.ABC):
         self._lat_indirect = self.latency.cache_to_cache_indirect_ns
         self._block_shift = config.block_size.bit_length() - 1
         self._fast_ok = self._probe_fast_path()
+
+    @property
+    def state(self) -> GlobalCoherenceState:
+        """The global MOSI state (materialised from a native replay
+        session first, when one holds it)."""
+        if self._session is not None:
+            self._session.materialise()
+        return self._state
 
     def _probe_fast_path(self) -> bool:
         """True if this instance's ``_handle`` has a paired fast kernel.
@@ -244,6 +257,8 @@ class CoherenceProtocol(abc.ABC):
     # ------------------------------------------------------------------
     def handle(self, record: TraceRecord) -> RequestOutcome:
         """Process one coherence request and update the totals."""
+        if self._session is not None:
+            self._session.materialise()
         outcome = self._handle(record)
         self.totals.add(outcome, self.traffic, self.latency)
         return outcome
@@ -279,6 +294,8 @@ class CoherenceProtocol(abc.ABC):
         appended to its columns for downstream batch consumers (the
         timing simulator's second pass).
         """
+        if self._session is not None:
+            self._session.materialise()
         self._prepare_fast_run()
         handle_fast = self._handle_fast
         control = self.traffic.control_bytes

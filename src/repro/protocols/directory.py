@@ -77,7 +77,7 @@ class DirectoryProtocol(CoherenceProtocol):
         super()._run_columns(trace, out)
 
     def _handle_fast(self, address, pc, requester, code, block):
-        responder, required = self.state.apply_fast(
+        responder, required = self._state.apply_fast(
             block, requester, code
         )[2:]
         home = (block >> self._block_shift) % self.config.n_processors

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import random
+import weakref
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.destset import DestinationSet, full_mask, popcount
@@ -65,16 +66,27 @@ class _PredictorList(list):
     immediately, so a swapped-in predictor is trained from the very
     next request whether it arrives via :meth:`handle`, a direct
     ``_handle_fast`` call, or a columnar replay.
+
+    The list refers to its protocol weakly: a strong reference would
+    make every protocol a reference cycle, holding its (native) replay
+    state until the cycle collector happens to run.
     """
 
     __slots__ = ("_owner",)
 
     def __init__(self, owner: "MulticastSnoopingProtocol", items):
         super().__init__(items)
-        self._owner = owner
+        self._owner = weakref.ref(owner)
 
     def _refresh(self) -> None:
-        self._owner._prepare_fast_run()
+        owner = self._owner()
+        if owner is None:
+            return
+        if owner._session is not None:
+            # The session writes back into the predictors it adopted,
+            # so a swapped-out instance keeps its trained state.
+            owner._session.materialise()
+        owner._prepare_fast_run()
 
     def __setitem__(self, index, value):
         super().__setitem__(index, value)
@@ -170,12 +182,17 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
 
         The returned sequence refreshes the protocol's hot-path
         caches on any mutation (item assignment, append, ...), so
-        ablation harnesses can swap instances in at will.
+        ablation harnesses can swap instances in at will.  Reading it
+        materialises a native replay session's predictor tables first.
         """
+        if self._session is not None:
+            self._session.materialise()
         return self._predictors
 
     @predictors.setter
     def predictors(self, instances: List[DestinationSetPredictor]) -> None:
+        if self._session is not None:
+            self._session.materialise()
         self._predictors = _PredictorList(self, instances)
         self._prepare_fast_run()
 
@@ -203,15 +220,20 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
     ) -> None:
         """Batched columnar replay (see :mod:`repro.protocols.fused`).
 
-        Picks the fastest applicable tier: the native replay, then the
-        fully-inlined Group loop, a policy
-        :class:`~repro.predictors.base.FusedKernel` skeleton, or the
-        generic per-record loop with fused external training batches.
-        Subclasses that override ``_handle_fast`` keep the base
-        per-record loop, and so does a scored run (``accuracy`` set)
-        that the native tier declines: the Python fused tiers never
-        score.
+        Picks the fastest applicable tier: the native replay (on the
+        attached session, or a new one), then the fully-inlined Group
+        loop, a policy :class:`~repro.predictors.base.FusedKernel`
+        skeleton, or the generic per-record loop with fused external
+        training batches.  Subclasses that override ``_handle_fast``
+        keep the base per-record loop, and so does a scored run
+        (``accuracy`` set) that the native tier declines: the Python
+        fused tiers never score.
         """
+        resident = self._session is not None
+        if resident and kernels.try_session_replay(self, trace, out):
+            return
+        # A session that declined has materialised itself; the Python
+        # tiers below see current state.
         self._prepare_fast_run()
         predictors = self._predictors
         if (
@@ -242,7 +264,7 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
                 python_tier = functools.partial(
                     fused.run_kernel, self, trace, kernel, out
                 )
-        if native is not None and native(self, trace, out):
+        if native is not None and not resident and native(self, trace, out):
             return
         if self.accuracy is not None:
             super()._run_columns(trace, out)

@@ -60,7 +60,7 @@ class BroadcastSnoopingProtocol(CoherenceProtocol):
         super()._run_columns(trace, out)
 
     def _handle_fast(self, address, pc, requester, code, block):
-        responder = self.state.apply_fast(block, requester, code)[2]
+        responder = self._state.apply_fast(block, requester, code)[2]
         latency_ns = (
             self._lat_memory if responder == MEMORY_NODE
             else self._lat_direct

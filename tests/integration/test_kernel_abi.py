@@ -82,6 +82,7 @@ def reference():
                     processor_model=model,
                 )
                 runtimes[model] = simulator.run(trace[:])
+            protocol.state.check_invariants()
             runs[label] = (
                 protocol.totals,
                 tables,
@@ -110,7 +111,9 @@ def test_replay_kernel_conformance(unified_backend, reference, label):
     """Replay kernels leave identical totals/tables/coherence state.
 
     On the native leg every label (the directory and broadcast-snooping
-    protocol modes included) must replay compiled, never declining.
+    protocol modes included) must replay compiled, never declining, and
+    the state compared below is the native session's, materialised by
+    the first read.
     """
     trace = reference["trace"][:]
     protocol = make_protocol(label, SystemConfig(), PredictorConfig())
@@ -118,11 +121,15 @@ def test_replay_kernel_conformance(unified_backend, reference, label):
     protocol.run(trace)
     if unified_backend == "native":
         assert kernels.decline_counts() == {}
+        assert protocol._session is not None
     totals, tables, blocks, _ = reference["runs"][label]
     assert protocol.totals == totals
+    state = protocol.state
+    assert protocol._session is None
+    state.check_invariants()
+    assert state._blocks == blocks
     if tables is not None:
         assert _predictor_table_state(protocol) == tables
-    assert protocol.state._blocks == blocks
 
 
 @pytest.mark.parametrize("model", PROCESSOR_MODELS)
@@ -141,6 +148,10 @@ def test_timing_kernel_conformance(
     )
     runtime = simulator.run(trace)
     assert runtime == reference["runs"][label][3][model]
+    # Warm-up and measured calls shared one session; materialise it.
+    state = simulator.protocol.state
+    state.check_invariants()
+    assert state._blocks == reference["runs"][label][2]
 
 
 def test_backend_registry_shape():

@@ -151,3 +151,49 @@ def test_perf_stats_render_decline_tallies():
     assert "policy_replay:envelope x3" in text
     # No decline line when the tally is empty.
     assert "declines" not in str(PerfStats(1000, 2.0, "native"))
+
+
+def test_native_source_abi_version_matches_glue():
+    """``_native.c``'s ABI_VERSION equals the glue's expectation.
+
+    Parsed from the source, so CI legs that never build the extension
+    still catch one side moving without the other.
+    """
+    import pathlib
+    import re
+
+    source = (
+        pathlib.Path(_backend.__file__).resolve().parent.parent
+        / "kernels" / "_native.c"
+    ).read_text()
+    found = re.findall(
+        r'PyModule_AddIntConstant\(\s*m,\s*"ABI_VERSION",\s*(\d+)\s*\)',
+        source,
+    )
+    assert found == [str(_backend.NATIVE_ABI_VERSION)]
+
+
+def test_phase_tally_sums_and_resets():
+    kernels.reset_phase_totals()
+    try:
+        kernels.record_phases(5, 7, 0)
+        kernels.record_phases(1, 0, 11)
+        assert kernels.phase_totals() == {
+            "marshal_ns": 6, "compute_ns": 7, "writeback_ns": 11,
+        }
+    finally:
+        kernels.reset_phase_totals()
+    assert kernels.phase_totals() == dict.fromkeys(kernels.PHASES, 0)
+
+
+def test_perf_stats_render_native_phases():
+    perf = PerfStats(
+        1000, 2.0, "native", {},
+        {"marshal_ns": 2_000_000, "compute_ns": 30_000_000,
+         "writeback_ns": 0},
+    )
+    assert (
+        "native replay phases: marshal 2.0 ms, compute 30.0 ms, "
+        "write-back 0.0 ms" in str(perf)
+    )
+    assert "phases" not in str(PerfStats(1000, 2.0, "pure"))

@@ -176,3 +176,31 @@ class TestInvariants:
             block = state.lookup(block_id * 64)
             assert block.owner == node
             assert block.sharers == frozenset()
+
+
+class TestCheckInvariants:
+    def test_states_reached_by_requests_pass(self, state):
+        for record in (
+            gets(0x40, 0), gets(0x40, 1), getx(0x80, 2), gets(0x80, 3),
+            getx(0x40, 3), gets(0xC0, 1),
+        ):
+            state.apply(record)
+        state.check_invariants()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((N, 0), "owner 4"),
+            ((-2, 0), "owner -2"),
+            ((1, 1 << 1), "owner 1 is also a sharer"),
+            ((MEMORY_NODE, 1 << N), "exceeds 4 bits"),
+            ((0, -1), "exceeds 4 bits"),
+            ((0,), "malformed"),
+        ],
+    )
+    def test_violations_name_the_block(self, state, entry, message):
+        state.apply(gets(0x40, 0))
+        state._blocks[0x1C0] = entry
+        with pytest.raises(AssertionError, match=message) as excinfo:
+            state.check_invariants()
+        assert "0x1c0" in str(excinfo.value)
