@@ -44,8 +44,8 @@ def test_perf_core_suite(benchmark, corpus, n_references, save_result):
     assert by_name["trace_generation"]["records_per_sec"] > 100_000
     assert by_name["analysis_sharing"]["records_per_sec"] > 100_000
     assert by_name["analysis_locality"]["records_per_sec"] > 100_000
-    # Every fused multicast batch kernel is measured individually, so
-    # a regression in any one predictor's kernel trips the gate.
+    # Every predictor policy's multicast replay is measured
+    # individually, so a regression in any one policy trips the gate.
     for name in (
         "protocol_multicast_group",
         "protocol_multicast_owner",

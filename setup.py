@@ -4,7 +4,7 @@ All project metadata lives in ``pyproject.toml``; this file exists
 only to declare ``repro.kernels._native`` as an *optional* C
 extension.  ``optional=True`` makes setuptools tolerate a missing or
 failing compiler: ``pip install .`` then produces a pure-Python wheel
-and the package runs on the ``pure``/``numpy`` kernel backends.  A
+and the package runs on the ``pure`` kernel backend.  A
 successful build ships the compiled extension in the wheel and
 ``REPRO_BACKEND=auto`` resolves to ``native``.
 

@@ -22,9 +22,8 @@ into it.  The record path (``_handle``) and the scalar columnar path
 (``_handle_fast``) both call :meth:`AccuracyReport.score`; the
 compiled replay (``_native.ReplaySession``) accumulates the same
 counters in C and folds them in through
-:meth:`AccuracyReport.add_counts`.  The
-Python fused tiers never score — a scored run that the native tier
-declines takes the scalar loop.
+:meth:`AccuracyReport.add_counts`.  A scored run that the native tier
+declines (or that has no native twin) takes the scalar loop.
 """
 
 from __future__ import annotations

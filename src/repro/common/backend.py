@@ -1,34 +1,40 @@
 """Unified simulation-backend selection (``REPRO_BACKEND``).
 
-One switch selects how the hot loops execute:
+One switch selects how the replay hot loops execute:
 
-- ``pure``   — pure-Python derived columns and replay loops (the
-  dependency-free floor; what CI's baseline gate runs).
-- ``numpy``  — vectorized derived-column computation; the replay
-  loops themselves stay Python (PRs 2-4's fused loops).
-- ``native`` — the compiled kernel tier (:mod:`repro.kernels`): the
-  fused Group replay, the chunk collector, and the crossbar timing
-  pass run inside a C extension, with numpy (when importable)
-  producing the derived columns for everything else.
+- ``pure``   — the scalar Python loops (each protocol's
+  ``_handle_fast`` replay, the generic timing pass, the chunk
+  collector): the dependency-free portability and correctness floor.
+- ``native`` — the compiled kernel tier (:mod:`repro.kernels`): every
+  protocol replay with a native twin, the chunk collector, and the
+  crossbar timing passes run inside a C extension; anything outside
+  its envelope runs the ``pure`` loops.
+
+numpy is not a backend but an accelerator under either one: when it
+imports, the generation draws, derived columns and analysis kernels
+(:mod:`repro.trace.columns`) use it.  Only ``REPRO_PURE_PYTHON=1`` and
+the in-process test hook ``repro.trace.columns.set_backend("python")``
+turn it off.
 
 Resolution order:
 
-1. ``REPRO_BACKEND`` (``pure``/``numpy``/``native``/``auto``),
-2. ``REPRO_PURE_PYTHON=1`` — the **deprecated** back-compat alias for
-   ``REPRO_BACKEND=pure`` (kept because PR 2-6 CI legs and user
-   scripts set it; prefer ``REPRO_BACKEND`` in new code),
+1. ``REPRO_BACKEND`` (``pure``/``native``/``auto``),
+2. ``REPRO_PURE_PYTHON=1`` — selects ``pure`` and also turns the
+   numpy accelerator off (kept because CI legs and user scripts set
+   it; ``REPRO_BACKEND`` wins when both are set),
 3. auto-detection: ``native`` when the compiled extension imports,
-   else ``numpy`` when numpy imports, else ``pure``.
+   else ``pure``.
 
-Every tier produces byte-identical results (ResultSet JSON, predictor
-tables, hex-float timing goldens) — the equivalence suites enforce it
-— so the switch is purely about speed.  Requesting an unavailable
-tier warns once and falls back down the list rather than failing.
+Every combination produces byte-identical results (ResultSet JSON,
+predictor tables, hex-float timing goldens) — record path ≡ scalar
+loop ≡ native kernel, with numpy on or off; the equivalence suites
+enforce it — so the switch is purely about speed.  Requesting
+``native`` without the built extension warns once and falls back to
+``pure`` rather than failing.
 
 The module is also the single source of truth consulted by
-:mod:`repro.trace.columns` (column computation), :mod:`repro.kernels`
-(native kernel dispatch), the bench harness (``columns_backend`` in
-BENCH.json) and ``ResultSet.perf``.
+:mod:`repro.kernels` (native kernel dispatch), the bench harness
+(``columns_backend`` in BENCH.json) and ``ResultSet.perf``.
 """
 
 from __future__ import annotations
@@ -41,11 +47,11 @@ from typing import Iterator, Optional, Tuple
 #: The unified backend environment variable.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Deprecated alias: ``REPRO_PURE_PYTHON=1`` == ``REPRO_BACKEND=pure``.
+#: ``REPRO_PURE_PYTHON=1``: the ``pure`` backend with numpy off.
 PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
 #: Registered backends, slowest floor first.
-BACKENDS: Tuple[str, ...] = ("pure", "numpy", "native")
+BACKENDS: Tuple[str, ...] = ("pure", "native")
 
 #: The ``_native.ABI_VERSION`` this package's glue speaks.  An
 #: extension built from an older ``_native.c`` counts as unbuilt.
@@ -54,12 +60,6 @@ NATIVE_ABI_VERSION = 6
 _active: Optional[str] = None
 _warned_native_missing = False
 _native_module = False  # sentinel: not probed yet
-
-
-def _numpy_available() -> bool:
-    from repro.trace import columns as _columns
-
-    return _columns._import_numpy() is not None
 
 
 def native_module():
@@ -85,7 +85,7 @@ def native_module():
                 warnings.warn(
                     f"the compiled kernel extension speaks ABI {found}, "
                     f"this package expects {NATIVE_ABI_VERSION}; "
-                    "ignoring it (Python tiers only).  Rebuild it with "
+                    "ignoring it (pure tier only).  Rebuild it with "
                     "`python -m repro.kernels.build`.",
                     RuntimeWarning,
                     stacklevel=2,
@@ -105,8 +105,8 @@ def _warn_native_missing() -> None:
     _warned_native_missing = True
     warnings.warn(
         "REPRO_BACKEND=native requested but the compiled kernel "
-        "extension is not built; falling back to the fastest "
-        "available Python tier.  Build it with "
+        "extension is not built; falling back to the pure tier.  "
+        "Build it with "
         "`python -m repro.kernels.build` (or install a binary wheel).",
         RuntimeWarning,
         stacklevel=3,
@@ -126,27 +126,16 @@ def resolve_env() -> str:
             )
         if value == "native" and not native_available():
             _warn_native_missing()
-            return "numpy" if _numpy_available() else "pure"
-        if value == "numpy" and not _numpy_available():
-            warnings.warn(
-                f"{BACKEND_ENV}=numpy requested but numpy is not "
-                "importable; falling back to the pure tier.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
             return "pure"
         return value
     if os.environ.get(PURE_PYTHON_ENV):
-        # Deprecated alias; honoured indefinitely for existing CI
-        # legs and scripts, but REPRO_BACKEND wins when both are set.
+        # REPRO_BACKEND wins when both are set.
         return "pure"
-    if native_available():
-        return "native"
-    return "numpy" if _numpy_available() else "pure"
+    return "native" if native_available() else "pure"
 
 
 def backend_name() -> str:
-    """The active unified backend: ``pure``/``numpy``/``native``."""
+    """The active unified backend: ``pure`` or ``native``."""
     global _active
     if _active is None:
         set_backend("auto")
@@ -159,23 +148,18 @@ def native_active() -> bool:
 
 
 def set_backend(name: str) -> None:
-    """Select the backend: ``pure``/``numpy``/``native``/``auto``.
+    """Select the backend: ``pure``/``native``/``auto``.
 
-    Keeps :mod:`repro.trace.columns` in sync: ``pure`` forces the
-    pure-Python column path, everything else uses numpy columns when
-    importable.  Raises when an explicitly requested tier is
-    unavailable (``auto`` never raises).
+    Leaves the numpy accelerator as it is (see the module docstring).
+    Raises when ``native`` is requested but unavailable; ``auto``
+    raises only on an unknown ``REPRO_BACKEND`` value.
     """
     global _active
-    from repro.trace import columns as _columns
-
     name = name.strip().lower()
     if name == "python":
         name = "pure"
     if name == "auto":
-        resolved = resolve_env()
-        _active = resolved
-        _columns._apply("python" if resolved == "pure" else "auto-numpy")
+        _active = resolve_env()
         return
     if name not in BACKENDS:
         raise ValueError(
@@ -187,28 +171,20 @@ def set_backend(name: str) -> None:
             "extension is not importable; build it with "
             "`python -m repro.kernels.build`"
         )
-    if name == "numpy" and not _numpy_available():
-        raise RuntimeError("numpy backend requested but not importable")
     _active = name
-    _columns._apply("python" if name == "pure" else "numpy-if-available")
 
 
 def _sync_from_columns(columns_name: str) -> None:
-    """Track a legacy :func:`repro.trace.columns.set_backend` call.
+    """Track a :func:`repro.trace.columns.set_backend` call.
 
-    The column-level switch predates this module and is what the
-    equivalence suites parametrize over; selecting a column backend
-    there pins the matching Python tier here (so a suite comparing
-    "python" vs "numpy" really compares the Python loops, never the
-    native kernels), and ``auto`` re-runs the env resolution.
+    The column-level switch is what the equivalence suites parametrize
+    over ("numpy accelerator off/on"); pinning either value pins the
+    ``pure`` tier here, so those suites compare the scalar Python
+    loops and never silently dispatch the native kernels.  ``auto``
+    re-runs the env resolution.
     """
     global _active
-    if columns_name == "python":
-        _active = "pure"
-    elif columns_name == "numpy":
-        _active = "numpy"
-    else:  # "auto"
-        _active = resolve_env()
+    _active = resolve_env() if columns_name == "auto" else "pure"
 
 
 @contextlib.contextmanager

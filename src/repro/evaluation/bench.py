@@ -14,7 +14,7 @@ reassembly); their gap prices the fabric's dispatch machinery.  The
 multi-cell sweep through the thread executor over a shared in-memory
 corpus at one and at :data:`SWEEP_THREADS` worker threads; their
 ratio is the thread-scaling ``parallel_efficiency`` block — near 1×
-under the GIL-bound Python tiers, multi-core under the native
+under the GIL-bound pure tier, multi-core under the native
 kernels, which release the GIL around their compute phases.  All
 four sweep entries run on the *selected* backend (they benchmark the
 execution machinery, not a pinned Python tier) and record their
@@ -57,6 +57,7 @@ from repro.evaluation.tradeoff import (
 )
 from repro.predictors.registry import PAPER_POLICIES
 from repro.timing.system import TimingSimulator
+from repro.trace import columns as _columns
 from repro.trace.stats import compute_trace_stats
 from repro.trace.trace import Trace
 from repro.workloads.registry import create_workload
@@ -104,15 +105,16 @@ QUICK_REFERENCES = 8_000
 
 #: Entries re-run under the native kernel tier (as ``<name>_native``)
 #: when the unified backend resolves to ``native``.  The regular
-#: entries are pinned to the fastest *Python* tier so their numbers
+#: entries are pinned to the ``pure`` tier (the scalar Python loops,
+#: numpy accelerator as the environment leaves it) so their numbers
 #: stay comparable across machines and commits regardless of whether
 #: the extension is built; the ``_native`` twins (plus the
 #: ``pre_native_baseline`` block) document the compiled tier's
 #: speedup on the same machine in the same run.  One twin per
-#: compiled kernel: the directory and broadcast-snooping protocol
-#: modes, the fused policy replays, accuracy scoring (the same replay
-#: with its scoring counters on), both timing passes, and the
-#: 64-node scaling entry (which exercises the two-word
+#: compiled replay mode or kernel: the directory and broadcast-snooping
+#: protocol modes, the four multicast policy modes, accuracy scoring
+#: (the same replay with its scoring counters on), both timing passes,
+#: and the 64-node scaling entry (which exercises the two-word
 #: destination-mask envelope).
 NATIVE_BENCH_ENTRIES = (
     "protocol_directory",
@@ -426,7 +428,7 @@ def _benchmarks(
     # columns from scratch; the v2 sidecar mmaps, serving the base
     # columns and the persisted block/macroblock keys as zero-copy
     # views — the replay-ready state for the compiled tier, which
-    # consumes raw columns directly.  (The Python tiers still box
+    # consumes raw columns directly.  (The scalar loops still box
     # lists on first use; that cost is deferred to replay, not paid
     # per load, and the store serves it via C-level copies.)
     def _store_paths():
@@ -470,7 +472,7 @@ def _benchmarks(
 
     # -- thread scaling -----------------------------------------------
     # `sweep_threads_1` / `sweep_threads_4` run the *same* eight-cell
-    # sweep (two seeds x four fused policies) through the thread
+    # sweep (two seeds x four compiled policies) through the thread
     # executor over one pre-warmed in-memory corpus; the throughput
     # ratio is the thread-scaling factor the parallel_efficiency
     # block reports.  Trace generation happens once, in the untimed
@@ -537,7 +539,7 @@ def _benchmarks(
         ("protocol_snooping", lambda: protocol("broadcast-snooping")),
         ("protocol_multicast_group", lambda: protocol("group")),
         # Per-predictor multicast entries so the CI regression gate
-        # covers every fused batch kernel, not just Group's.
+        # covers every predictor policy's replay, not just Group's.
         ("protocol_multicast_owner", lambda: protocol("owner")),
         (
             "protocol_multicast_bifs",
@@ -593,28 +595,21 @@ def run_suite(
                 return function()
         return wrapped
 
-    # Pin the regular entries to a Python tier and twin the native-
-    # accelerated hot paths (see NATIVE_BENCH_ENTRIES).  An explicit
-    # pure/numpy selection is honoured as-is (REPRO_PURE_PYTHON=1 must
-    # measure the pure floor); under the native backend the regular
-    # entries run on the fastest *Python* tier so the cross-commit
-    # trajectory stays comparable and the native twins have a
-    # same-report denominator.  The sweep/fabric/thread entries
-    # instead run on the *selected* backend — they benchmark the
-    # execution machinery (SWEEP_EXECUTION_ENTRIES) — and stamp the
+    # Pin the regular entries to the pure tier and twin the native-
+    # accelerated hot paths (see NATIVE_BENCH_ENTRIES), so the
+    # cross-commit trajectory stays comparable and the native twins
+    # have a same-report denominator.  The numpy accelerator stays as
+    # the environment set it (REPRO_PURE_PYTHON=1 measures the
+    # numpy-free floor).  The sweep/fabric/thread entries instead run
+    # on the *selected* backend — they benchmark the execution
+    # machinery (SWEEP_EXECUTION_ENTRIES) — and stamp the
     # executor/threads/backend they ran with into their report entry.
     unified = _backend.backend_name()
-    if unified == "native":
-        python_tier = "numpy" if _backend._numpy_available() else "pure"
-    else:
-        python_tier = unified
     timed = [
         (
             name,
             pinned(
-                fn,
-                unified if name in SWEEP_EXECUTION_ENTRIES
-                else python_tier,
+                fn, unified if name in SWEEP_EXECUTION_ENTRIES else "pure"
             ),
         )
         for name, fn in suite
@@ -648,7 +643,7 @@ def run_suite(
         "cpu_count": os.cpu_count() or 1,
         "machine": platform.machine(),
         "columns_backend": unified,
-        "python_tier": python_tier,
+        "numpy": _columns.backend_name() == "numpy",
         "calibration_kops": round(score, 1),
         "benchmarks": [r.to_dict() for r in results],
     }
@@ -767,13 +762,9 @@ def load_report(path) -> dict:
 
 def render_report(report: dict) -> str:
     """A human-readable table of one BENCH report."""
-    backend = report.get("columns_backend", "python")
-    tier = report.get("python_tier")
-    backend_label = (
-        f"{backend} (python tier: {tier})"
-        if tier and tier != backend
-        else backend
-    )
+    backend_label = report.get("columns_backend", "pure")
+    if "numpy" in report:
+        backend_label += ", numpy " + ("on" if report["numpy"] else "off")
     lines = [
         f"workload={report['workload']} "
         f"refs={report['n_references']} seed={report['seed']} "

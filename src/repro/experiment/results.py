@@ -49,7 +49,7 @@ class PerfStats:
     records_processed: int = 0
     wall_seconds: float = 0.0
     #: Unified simulation backend the sweep executed under
-    #: (``pure``/``numpy``/``native``; see :mod:`repro.common.backend`).
+    #: (``pure``/``native``; see :mod:`repro.common.backend`).
     backend: str = ""
     #: Native-kernel declines observed during the run, keyed
     #: ``"<kernel>:<reason>"`` (see

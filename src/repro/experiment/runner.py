@@ -16,8 +16,8 @@ Threads vs processes: the native kernels release the GIL around their
 compute phases, so with the native backend active threaded cells run
 concurrently on one shared in-memory :class:`TraceCorpus` — zero
 pickling, zero per-cell disk loads — and ``executor=None`` resolves
-to threads in that case.  The pure/numpy tiers hold the GIL for the
-whole replay, so they default to the process pool, which shares
+to threads in that case.  The pure tier holds the GIL for the
+whole replay, so it defaults to the process pool, which shares
 traces through the on-disk cache instead (a warm phase generates one
 task per unique (workload, seed), then the label cells load the
 memoized trace).  Runtime sweeps evaluate raw per-label results in

@@ -25,37 +25,35 @@ one without either side knowing about the other:
 (``latency_ns`` float64 + ``transfer_bytes`` int64, appended in trace
 order) and counter structs folded through
 :meth:`~repro.protocols.base.TrafficTotals.add_batch`; state objects
-are mutated in place to the exact values the Python loops produce
-(replay state when it is materialised, see below).
+are mutated in place to the exact values the scalar Python loops
+produce (replay state when it is materialised, see below).
 
-**Kernels** (one per hot loop):
+**Kernels** (one per hot loop; each has one Python fallback):
 
-- ``group_replay`` — the fused Group-predictor multicast replay
-  (:func:`repro.protocols.fused.run_group`) on a ``ReplaySession``;
-- ``policy_replay`` — the fused replay for the other compiled
-  policies: Owner, Broadcast-if-shared, Owner-group, Sticky-spatial
-  (:func:`repro.protocols.fused.run_kernel` with each policy's
-  ``fused_kernel`` closures), on the same session type;
-- accuracy scoring — not a kernel of its own: while a multicast
-  protocol's ``accuracy`` report is set, ``group_replay`` /
-  ``policy_replay`` also count coverage, precision and the outcome
-  classes of every prediction
+- replay — every protocol's columnar replay
+  (``CoherenceProtocol._run_columns``) on a ``ReplaySession``, entered
+  through :func:`try_replay`.  Its protocol modes mirror the scalar
+  ``_handle_fast`` loops of the multicast protocol for the five
+  compiled predictor policies (Group, Owner, Broadcast-if-shared,
+  Owner-group, Sticky-spatial), of the directory and of broadcast
+  snooping (whose sessions hold only the MOSI block map).  Declines
+  are tallied as ``group_replay`` (Group) or ``policy_replay``
+  (everything else).  While a multicast protocol's ``accuracy``
+  report is set the kernel also counts coverage, precision and the
+  outcome classes of every prediction
   (:mod:`repro.analysis.accuracy`), so scored runs stay compiled;
-- ``baseline_replay`` — the directory and broadcast-snooping replays
-  (``DirectoryProtocol`` / ``BroadcastSnoopingProtocol._handle_fast``)
-  as two protocol modes of the same replay kernel, whose sessions
-  hold only the MOSI block map;
 - ``collector`` — the chunk-consuming cache/MOSI filter
   (:meth:`repro.cache.pipeline.TraceCollector.process_chunk`),
   session-based so cache state stays native across chunks;
 - ``timing_pass`` — the crossbar + simple-processor timing pass
-  (:meth:`repro.timing.system.TimingSimulator._timing_pass_simple`);
+  (the generic loop of
+  :meth:`repro.timing.system.TimingSimulator._run_columns`);
 - ``timing_pass_detailed`` — the crossbar + detailed-processor pass
   (bounded outstanding misses via per-node min-heaps), replicating
   CPython's heapq op order so clocks and heap contents stay
   bit-identical.
 
-**Resident replay state.**  The three replay kernels run on one
+**Resident replay state.**  The replay kernel runs on one
 ``_native.ReplaySession`` per protocol, created on the protocol's
 first native replay.  It adopts whatever Python state the protocol
 holds (empty for a fresh one) and from then on each call ships only
@@ -68,7 +66,7 @@ Python reader calls ``_session.materialise()`` first when it is set.
 ``materialise`` syncs the native state into the same Python objects
 and detaches the session from every holder.  The readers are the
 protocol's ``state`` and ``predictors`` properties, ``handle()`` (the
-record path), the Python tiers of ``_run_columns`` (a decline or a
+record path), the scalar loop of ``_run_columns`` (a decline or a
 backend switch mid-life), and predictor-level readers
 (``stats()``).  Hot paths check nothing: they are entered through
 those doors, which test one attribute per call.  A session belongs to
@@ -77,28 +75,34 @@ gets ``ValueError``.  ``ReplaySession`` reports marshal / compute /
 write-back nanoseconds, tallied by :func:`record_phases` next to the
 decline tally.
 
-**Backends.**  ``pure`` and ``numpy`` are the existing Python loops
-(they differ only in how derived columns are produced); ``native`` is
-the C extension :mod:`repro.kernels._native` (built by
-``python -m repro.kernels.build`` or the wheel).  The contract for
-every backend is *byte identity*: same ResultSet JSON, same predictor
-table state, same hex-float timing goldens — enforced by the
-equivalence suites and ``tests/integration/test_kernel_abi.py``.
+**Backends.**  ``pure`` is the scalar Python loops (with or without
+the numpy accelerator for derived columns, see
+:mod:`repro.common.backend`); ``native`` is the C extension
+:mod:`repro.kernels._native` (built by ``python -m
+repro.kernels.build`` or the wheel).  The contract is *byte
+identity*, record path ≡ scalar loop ≡ native kernel: same ResultSet
+JSON, same predictor table state, same hex-float timing goldens —
+enforced by the equivalence suites and
+``tests/integration/test_kernel_abi.py``.
 
 The ``try_*`` entry points below are the dispatch seam: they return
 ``False``/``None`` when the native tier is inactive
 (:func:`repro.common.backend.native_active`) or the call is outside
 the native kernel's envelope (>128 replay nodes / >62 collector
 nodes, nonzero race probability, non-power-of-two granularity,
-exotic predictor mixes, int64-overflowing keys), in which case the
-caller falls back to the Python loops.  Fallbacks are *counted*, not
-silent: each decline increments a per-kernel/per-reason counter
+int64-overflowing keys), in which case the caller falls back to its
+scalar Python loop.  Those fallbacks are *counted*, not silent: each
+decline increments a per-kernel/per-reason counter
 (:func:`decline_counts`) that the experiment runner snapshots into
 ``ResultSet.perf`` so a decline is visible as more than an
-unexplained slowdown.  Replay eligibility is checked when a
-protocol's session opens, and again per call only for what can change
-between calls (the backend, the race probability); the Python tier is
-always correct.
+unexplained slowdown.  A protocol with no native twin at all (oracle,
+bandwidth-adaptive, static or mixed predictor lists, subclassed
+predictors or ``_handle_fast`` overrides) runs the scalar loop
+without a decline.  Replay eligibility is checked when a protocol's
+session opens (:func:`repro.kernels.native.replay`, the single
+statement of the envelope), and again per call only for what can
+change between calls (the backend, the race probability); the scalar
+loop is always correct.
 """
 
 from __future__ import annotations
@@ -172,12 +176,9 @@ def reset_phase_totals() -> None:
 
 def available_backends() -> Tuple[str, ...]:
     """Registered kernel backends on this machine, floor first."""
-    names = ["pure"]
-    if _backend._numpy_available():
-        names.append("numpy")
     if _backend.native_available():
-        names.append("native")
-    return tuple(names)
+        return ("pure", "native")
+    return ("pure",)
 
 
 def native_available() -> bool:
@@ -185,69 +186,27 @@ def native_available() -> bool:
     return _backend.native_available()
 
 
-def try_group_replay(proto, trace, out=None) -> bool:
-    """Run the fused Group replay natively; False -> caller falls back.
+def try_replay(proto, trace, out=None) -> bool:
+    """Replay ``trace`` natively; False -> caller runs its scalar
+    ``_handle_fast`` loop.
 
-    Callers have already established :func:`fused.group_uniform`; this
-    adds the native envelope checks and opens the protocol's replay
-    session (or reuses the attached one).
-    """
-    if not _backend.native_active():
-        return False
-    from repro.kernels import native
-
-    return native.group_replay(proto, trace, out)
-
-
-def try_policy_replay(proto, trace, out=None) -> bool:
-    """Run a non-Group fused policy replay natively; False -> fall back.
-
-    Callers have already established a homogeneous predictor list with
-    a fused kernel (Owner, Broadcast-if-shared, Owner-group, or
-    Sticky-spatial); this adds the native envelope checks and opens
-    the protocol's replay session (or reuses the attached one).
-    """
-    if not _backend.native_active():
-        return False
-    from repro.kernels import native
-
-    return native.policy_replay(proto, trace, out)
-
-
-def try_session_replay(proto, trace, out=None) -> bool:
-    """Replay on the protocol's attached native session; False ->
-    caller runs its Python tiers.
-
-    False also when no session is attached.  A session that cannot
-    take the call (the backend switched away from native, or a
-    per-call decline) materialises itself first, so the Python tier
-    sees current state.
+    Replays on the protocol's attached session, or opens one when the
+    protocol has a native twin inside the envelope
+    (:func:`repro.kernels.native.replay`).  A session that cannot take
+    the call (the backend switched away from native, or a per-call
+    decline) materialises itself first, so the scalar loop sees
+    current state.
     """
     session = proto._session
-    if session is None:
-        return False
     if not _backend.native_active():
-        session.materialise()
+        if session is not None:
+            session.materialise()
         return False
-    return session.replay(proto, trace, out)
-
-
-def try_baseline_replay(proto, trace, out=None) -> bool:
-    """Run a directory or broadcast-snooping replay natively; False ->
-    caller falls back to its ``_handle_fast`` loop.
-
-    Callers have already established that the protocol's
-    ``_handle_fast`` is the stock one; this adds the shared replay
-    envelope checks and opens the protocol's replay session, or replays
-    on the attached one (:func:`try_session_replay`).
-    """
-    if proto._session is not None:
-        return try_session_replay(proto, trace, out)
-    if not _backend.native_active():
-        return False
+    if session is not None:
+        return session.replay(proto, trace, out)
     from repro.kernels import native
 
-    return native.baseline_replay(proto, trace, out)
+    return native.replay(proto, trace, out)
 
 
 def try_timing_pass(simulator, measured, out) -> bool:

@@ -4,7 +4,7 @@
  *   ReplaySession        — one protocol's replay state (MOSI block map,
  *                          predictor tables) held natively between
  *                          calls; its replay mirrors
- *                          repro.protocols.fused.run_group / run_kernel
+ *                          MulticastSnoopingProtocol._handle_fast
  *                          for the five compiled policies (Group, Owner,
  *                          Broadcast-if-shared, Owner-group,
  *                          Sticky-spatial), plus two protocol modes on
@@ -13,7 +13,9 @@
  *                          BroadcastSnoopingProtocol._handle_fast); the
  *                          predictor modes optionally score each
  *                          prediction (the accuracy analysis)
- *   timing_pass          — mirror of TimingSimulator._timing_pass_simple
+ *   timing_pass          — the crossbar timing pass of
+ *                          TimingSimulator._run_columns with the
+ *                          simple (in-order blocking) processor model
  *   timing_pass_detailed — the same crossbar pass with the detailed
  *                          (bounded-outstanding-miss) processor model
  *   Collector            — mirror of TraceCollector.process_chunk
@@ -355,7 +357,7 @@ floormod64(int64_t x, int64_t m)
 }
 
 /* ------------------------------------------------------------------ */
-/* timing_pass: mirror of TimingSimulator._timing_pass_simple.         */
+/* timing_pass: the crossbar + simple-processor timing pass.          */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -591,9 +593,9 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Replay core: mirror of repro.protocols.fused.run_group /            */
-/* run_kernel for the five compiled predictor policies, and of the     */
-/* directory / broadcast-snooping _handle_fast loops.                  */
+/* Replay core: mirror of the multicast _handle_fast loop for the     */
+/* five compiled predictor policies, and of the directory /           */
+/* broadcast-snooping _handle_fast loops.                              */
 /* ------------------------------------------------------------------ */
 
 /* Entry payload kinds for the shared PredictorTable pool. */
@@ -1281,9 +1283,11 @@ group_train(GTable *t, int32_t e, int32_t node, int n_nodes, int32_t cmax,
 #define POLICY_DIRECTORY 5
 #define POLICY_SNOOPING 6
 
-/* The fused external-training flush (FusedKernel.train_external) for
- * one pending batch, iterating set bits lowest-first across the two
- * mask lanes exactly like the Python closures.  tA is the policy's
+/* External-request training for one pending batch of identical
+ * consecutive requests, iterating set bits lowest-first across the two
+ * mask lanes.  A batch shares one requester, which is never in its own
+ * external set, so deferring the fan-out leaves every table exactly as
+ * the per-record train_external calls would.  tA is the policy's
  * primary table array; tB is the group half of Owner-group. */
 static void
 policy_flush(int policy, GTable *tA, GTable *tB, uint64_t mask_lo,
@@ -1911,8 +1915,8 @@ replay_compute(NReplay *s, const int64_t *addrs, const int64_t *pcs,
 
     double latency_sum = c->latency_sum;
 
-    /* Pending fused training batch (never engages for sticky, whose
-     * kernel has no train_external). */
+    /* Pending external-training batch (never engages for sticky,
+     * which ignores external requests). */
     int64_t p_key = 0;
     int32_t p_req = -1;
     int32_t p_code = -1;
@@ -1941,7 +1945,7 @@ replay_compute(NReplay *s, const int64_t *addrs, const int64_t *pcs,
             p_count = 0;
         }
 
-        /* FusedKernel.predict (destination = prediction | minimal). */
+        /* Predict (destination = prediction | minimal). */
         uint64_t dest_lo = minimal_lo, dest_hi = minimal_hi;
         int32_t scratch = -1; /* predict's entry, reused by response */
         switch (policy) {

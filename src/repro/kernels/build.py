@@ -9,7 +9,7 @@ developer/CI-checkout path.
 
 Exit status 0 on success (the extension imports afterwards), 1 when
 compilation fails — callers that treat the native tier as optional
-should tolerate failure and stay on the Python tiers.
+should tolerate failure and stay on the pure backend.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def build(verbose: bool = True) -> bool:
         if verbose:
             print(output, file=sys.stderr)
             print(
-                "native kernel build failed; the pure/numpy tiers "
-                "remain fully functional.",
+                "native kernel build failed; the pure backend "
+                "remains fully functional.",
                 file=sys.stderr,
             )
         return False

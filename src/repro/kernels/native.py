@@ -3,10 +3,12 @@
 Each function here checks the native envelope (node count, race
 probability, key-index shape, column dtypes) and hands the extension
 flat columns plus config scalars, folding the results back through the
-exact accounting statements the Python loops execute — so a native
-call is indistinguishable from the Python tier on every observable
-(ResultSet JSON, predictor tables, cache/MOSI state, hex-float timing
-goldens).
+exact accounting statements the scalar Python loops execute — so a
+native call is indistinguishable from the Python tier on every
+observable (ResultSet JSON, predictor tables, cache/MOSI state,
+hex-float timing goldens).  For replay, :func:`replay` is the single
+statement of that envelope: which protocols and predictor lists have
+a native twin, and which geometries the twin accepts.
 
 Mutable state lives in two session types, modelled the same way: a
 ``_CollectorSession`` owns a collector's cache/MOSI state while chunks
@@ -16,15 +18,13 @@ state once (``load``), ships only columns per call, and writes the
 state back (``sync``) only when Python reads it — for a replay session
 that is never, in a sweep cell.
 
-Callers come through :mod:`repro.kernels` (``try_group_replay`` /
-``try_policy_replay`` / ``try_baseline_replay`` /
-``try_session_replay`` / ``try_timing_pass`` /
-``try_timing_pass_detailed`` / ``collector_session``), which has
-already established that the native tier is active.  Every decline is
-recorded via :func:`repro.kernels.record_decline` and every session
-call's phase nanoseconds via :func:`repro.kernels.record_phases`, so
-sweeps can report where the native tier fell back and where its time
-went.
+Callers come through :mod:`repro.kernels` (``try_replay`` /
+``try_timing_pass`` / ``try_timing_pass_detailed`` /
+``collector_session``), which has already established that the native
+tier is active.  Every decline is recorded via
+:func:`repro.kernels.record_decline` and every session call's phase
+nanoseconds via :func:`repro.kernels.record_phases`, so sweeps can
+report where the native tier fell back and where its time went.
 """
 
 from __future__ import annotations
@@ -35,6 +35,17 @@ from typing import Optional
 
 from repro import kernels as _kernels
 from repro.common import backend as _backend
+from repro.predictors.broadcast_if_shared import (
+    _COUNTER_MAX as _BIFS_COUNTER_MAX,
+    BroadcastIfSharedPredictor,
+)
+from repro.predictors.group import GroupPredictor
+from repro.predictors.owner import OwnerPredictor
+from repro.predictors.owner_group import OwnerGroupPredictor
+from repro.predictors.sticky_spatial import StickySpatialPredictor
+from repro.protocols.directory import DirectoryProtocol
+from repro.protocols.multicast import MulticastSnoopingProtocol
+from repro.protocols.snooping import BroadcastSnoopingProtocol
 
 #: Replay destination sets travel in two uint64 lanes.
 _MAX_NATIVE_NODES = 128
@@ -53,8 +64,8 @@ def _ext():
 
 
 # ----------------------------------------------------------------------
-# replay sessions: repro.protocols.fused.run_group / run_kernel, and the
-# directory / broadcast-snooping _handle_fast loops
+# replay sessions: the multicast, directory and broadcast-snooping
+# _handle_fast loops
 # ----------------------------------------------------------------------
 
 def _trace_columns(trace):
@@ -86,9 +97,9 @@ def _trace_columns(trace):
     return addresses, pcs, requesters, accesses
 
 
-def _replay_geometry(proto, kernel_name, check_index=True):
-    """Shared replay envelope.  Returns (n, use_pc, gshift, block_size)
-    or None (decline recorded)."""
+def _replay_geometry(proto, kernel_name, check_index):
+    """The replay envelope's geometry half.  Returns (n, use_pc,
+    gshift, block_size), or None with the decline recorded."""
     # The baselines have no retry window, hence no race probability.
     if getattr(proto, "race_probability", 0.0):
         _kernels.record_decline(kernel_name, "race-probability")
@@ -174,7 +185,7 @@ class _ReplaySession:
         """One replay call folded into ``proto``'s totals (and its
         accuracy report when one is set)."""
         if getattr(proto, "race_probability", 0.0):
-            # Set after the session opened; the Python tier draws the
+            # Set after the session opened; the scalar loop draws the
             # races.
             _kernels.record_decline(self._kernel, "race-probability")
             self.materialise()
@@ -238,24 +249,135 @@ class _ReplaySession:
                 del holder._session
 
 
-def _open_session(
-    proto,
-    trace,
-    out,
-    kernel_name,
-    policy,
-    geometry,
-    tables_a=None,
-    tables_b=None,
-    sticky=False,
-    tuning=(0, 0, 0, False),
-    sticky_geometry=(False, 0, 0),
-) -> bool:
-    """Create, load and attach ``proto``'s replay session, then run the
-    first replay on it.  False -> caller runs the Python tier."""
+def _group_tuning(groups):
+    """The shared (counter max, threshold, rollover period, train-down)
+    of stock GroupPredictors, or None when they differ."""
+    first = groups[0]
+    tuning = (
+        first._counter_max, first._threshold, first._rollover_period,
+        first._train_down,
+    )
+    if any(
+        type(g) is not GroupPredictor
+        or (g._counter_max, g._threshold, g._rollover_period,
+            g._train_down) != tuning
+        for g in groups
+    ):
+        return None
+    return tuning
+
+
+def _uniformly_bounded(tables) -> bool:
+    return len({t._bounded for t in tables}) == 1
+
+
+def _twin(proto):
+    """The native replay twin of ``proto``, or None when it has none.
+
+    Returns ``(kernel name, policy, check_index, session kwargs)``.  A
+    twin exists for the stock directory, broadcast-snooping and
+    multicast ``_handle_fast`` loops; for multicast, only when every
+    predictor is exactly one compiled policy (Group, Owner,
+    Broadcast-if-shared, Owner-group, Sticky-spatial) with one tuning
+    and table shape across nodes.
+    """
+    ext = _ext()
+    handle_fast = type(proto)._handle_fast
+    if handle_fast is DirectoryProtocol._handle_fast:
+        return "policy_replay", ext.POLICY_DIRECTORY, False, {}
+    if handle_fast is BroadcastSnoopingProtocol._handle_fast:
+        return "policy_replay", ext.POLICY_SNOOPING, False, {}
+    if handle_fast is not MulticastSnoopingProtocol._handle_fast:
+        return None
+    predictors = proto._predictors
+    if not predictors:
+        return None
+    cls = type(predictors[0])
+    if any(type(p) is not cls for p in predictors):
+        return None
+
+    if cls is GroupPredictor:
+        tuning = _group_tuning(predictors)
+        tables = [p._table for p in predictors]
+        if tuning is None or not _uniformly_bounded(tables):
+            return None
+        return "group_replay", ext.POLICY_GROUP, True, {
+            "tables_a": tables, "tuning": tuning,
+        }
+
+    if cls is OwnerPredictor or cls is BroadcastIfSharedPredictor:
+        tables = [p._table for p in predictors]
+        if not _uniformly_bounded(tables):
+            return None
+        if cls is OwnerPredictor:
+            policy, cmax = ext.POLICY_OWNER, 0
+        else:
+            policy, cmax = ext.POLICY_BIFS, _BIFS_COUNTER_MAX
+        return "policy_replay", policy, True, {
+            "tables_a": tables, "tuning": (cmax, 0, 0, False),
+        }
+
+    if cls is OwnerGroupPredictor:
+        owners = [p._owner for p in predictors]
+        groups = [p._group for p in predictors]
+        tuning = _group_tuning(groups)
+        o_tables = [o._table for o in owners]
+        g_tables = [g._table for g in groups]
+        if (
+            tuning is None
+            or any(type(o) is not OwnerPredictor for o in owners)
+            or not _uniformly_bounded(o_tables + g_tables)
+        ):
+            return None
+        return "policy_replay", ext.POLICY_OWNER_GROUP, True, {
+            "tables_a": o_tables, "tables_b": g_tables, "tuning": tuning,
+        }
+
+    if cls is StickySpatialPredictor:
+        config = predictors[0].config
+        if any(p.config != config for p in predictors):
+            return None
+        granularity = StickySpatialPredictor.BLOCK_GRANULARITY
+        unbounded = bool(config.unbounded)
+        return "policy_replay", ext.POLICY_STICKY, False, {
+            "sticky": True,
+            "sticky_geometry": (
+                unbounded,
+                0 if unbounded else config.n_entries,
+                granularity.bit_length() - 1,
+            ),
+        }
+    return None
+
+
+def replay(proto, trace, out=None) -> bool:
+    """Open ``proto``'s native replay session and run the first replay
+    on it.  False -> caller runs its scalar ``_handle_fast`` loop.
+
+    The single statement of the native replay envelope.  A protocol
+    without a native twin (see :func:`_twin`: oracle, bandwidth-
+    adaptive, static or mixed predictor lists, predictor subclasses,
+    a ``_handle_fast`` override) returns False without a decline.  A
+    twin outside the envelope records a decline under its kernel name
+    (``group_replay`` for Group, ``policy_replay`` otherwise): a
+    nonzero race probability (the scalar loop draws from a Mersenne
+    Twister the kernel does not replicate), more than 128 nodes (two
+    uint64 bitmask lanes), a non-power-of-two block size or index
+    granularity (the kernel shifts), or table state the int64 lanes
+    cannot carry.
+    """
+    twin = _twin(proto)
+    if twin is None:
+        return False
+    kernel_name, policy, check_index, state = twin
+    geometry = _replay_geometry(proto, kernel_name, check_index)
+    if geometry is None:
+        return False
     n, use_pc, gshift, block_size = geometry
-    cmax, thr, rperiod, tdown = tuning
-    sticky_unbounded, sticky_entries, sticky_shift = sticky_geometry
+    cmax, thr, rperiod, tdown = state.get("tuning", (0, 0, 0, False))
+    sticky_unbounded, sticky_entries, sticky_shift = state.get(
+        "sticky_geometry", (False, 0, 0)
+    )
     native = _ext().ReplaySession(
         policy,
         n,
@@ -277,7 +399,8 @@ def _open_session(
         proto.traffic.data_bytes,
     )
     session = _ReplaySession(
-        native, kernel_name, proto, tables_a, tables_b, sticky
+        native, kernel_name, proto, state.get("tables_a"),
+        state.get("tables_b"), state.get("sticky", False),
     )
     if not session.attach():
         # State outside the envelope (e.g. an int64-overflowing key);
@@ -287,173 +410,8 @@ def _open_session(
     return session.replay(proto, trace, out)
 
 
-def group_replay(proto, trace, out=None) -> bool:
-    """Native fused Group replay.  False -> caller runs the Python loop.
-
-    Callers have established :func:`repro.protocols.fused.group_uniform`
-    (stock, identically-tuned GroupPredictors); the envelope on top of
-    that: zero race probability (the Python tier draws from a Mersenne
-    Twister the kernel does not replicate), <= 128 nodes (two uint64
-    bitmask lanes), and a power-of-two index granularity (so ``address
-    // granularity`` is a shift — PredictorConfig validates this,
-    checked again here because the kernel relies on it).
-    """
-    geometry = _replay_geometry(proto, "group_replay")
-    if geometry is None:
-        return False
-    first = proto._predictors[0]
-    return _open_session(
-        proto, trace, out, "group_replay", _ext().POLICY_GROUP, geometry,
-        tables_a=[p._table for p in proto._predictors],
-        tuning=(
-            first._counter_max, first._threshold, first._rollover_period,
-            first._train_down,
-        ),
-    )
-
-
-def policy_replay(proto, trace, out=None) -> bool:
-    """Native fused replay for the non-Group compiled policies (Owner,
-    Broadcast-if-shared, Owner-group, Sticky-spatial).
-
-    Mirrors each policy's ``fused_kernel`` eligibility exactly: the
-    caller has established a homogeneous predictor list whose fused
-    kernel exists, and this function re-derives the same uniformity
-    conditions before opening the replay session.
-    False -> caller runs the Python fused loop (decline recorded).
-    """
-    from repro.predictors.broadcast_if_shared import (
-        _COUNTER_MAX as _BIFS_COUNTER_MAX,
-        BroadcastIfSharedPredictor,
-    )
-    from repro.predictors.group import GroupPredictor
-    from repro.predictors.owner import OwnerPredictor
-    from repro.predictors.owner_group import OwnerGroupPredictor
-    from repro.predictors.sticky_spatial import StickySpatialPredictor
-
-    predictors = proto._predictors
-    first_type = type(predictors[0])
-    ext = _ext()
-
-    if first_type is StickySpatialPredictor:
-        geometry = _replay_geometry(
-            proto, "policy_replay", check_index=False
-        )
-        if geometry is None:
-            return False
-        config = predictors[0].config
-        if any(p.config != config for p in predictors):
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        granularity = StickySpatialPredictor.BLOCK_GRANULARITY
-        if granularity <= 0 or granularity & (granularity - 1):
-            # pragma: no cover - the class constant is 64
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        unbounded = bool(config.unbounded)
-        n_entries = 0 if unbounded else config.n_entries
-        if not unbounded and n_entries <= 0:
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        return _open_session(
-            proto, trace, out, "policy_replay", ext.POLICY_STICKY,
-            geometry, sticky=True,
-            sticky_geometry=(
-                unbounded, n_entries, granularity.bit_length() - 1
-            ),
-        )
-
-    if first_type is OwnerPredictor or first_type is BroadcastIfSharedPredictor:
-        geometry = _replay_geometry(proto, "policy_replay")
-        if geometry is None:
-            return False
-        tables = [p._table for p in predictors]
-        bounded = tables[0]._bounded
-        if any(t._bounded != bounded for t in tables):
-            # The Python closures apply tables[0]'s boundedness to
-            # every node; mixed tables never occur in practice, so
-            # decline rather than replicate the quirk.
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        if first_type is OwnerPredictor:
-            policy, cmax = ext.POLICY_OWNER, 0
-        else:
-            policy, cmax = ext.POLICY_BIFS, _BIFS_COUNTER_MAX
-        return _open_session(
-            proto, trace, out, "policy_replay", policy, geometry,
-            tables_a=tables, tuning=(cmax, 0, 0, False),
-        )
-
-    if first_type is OwnerGroupPredictor:
-        geometry = _replay_geometry(proto, "policy_replay")
-        if geometry is None:
-            return False
-        owners = [p._owner for p in predictors]
-        groups = [p._group for p in predictors]
-        if any(type(o) is not OwnerPredictor for o in owners) or any(
-            type(g) is not GroupPredictor for g in groups
-        ):
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        g0 = groups[0]
-        tuning = (
-            g0._counter_max, g0._threshold, g0._rollover_period,
-            g0._train_down,
-        )
-        if any(
-            (g._counter_max, g._threshold, g._rollover_period,
-             g._train_down) != tuning
-            for g in groups
-        ):
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        o_tables = [o._table for o in owners]
-        g_tables = [g._table for g in groups]
-        bounded = o_tables[0]._bounded
-        if any(
-            t._bounded != bounded for t in o_tables
-        ) or any(t._bounded != bounded for t in g_tables):
-            # fused_kernel applies o_tables[0]'s boundedness to both
-            # halves on every node; see the Owner/BIFS note above.
-            _kernels.record_decline("policy_replay", "envelope")
-            return False
-        return _open_session(
-            proto, trace, out, "policy_replay", ext.POLICY_OWNER_GROUP,
-            geometry, tables_a=o_tables, tables_b=g_tables, tuning=tuning,
-        )
-
-    # Uniform stock GroupPredictors route through try_group_replay;
-    # anything else has no native twin.
-    _kernels.record_decline("policy_replay", "envelope")
-    return False
-
-
-def baseline_replay(proto, trace, out=None) -> bool:
-    """Native directory / broadcast-snooping replay.
-
-    The replay kernel's two protocol modes: the same MOSI core as the
-    predictor policies, with a session that holds only the block map.
-    The caller has established that the protocol's ``_handle_fast`` is
-    the stock one.  False -> caller runs the Python loop (decline
-    recorded).
-    """
-    from repro.protocols.directory import DirectoryProtocol
-
-    geometry = _replay_geometry(proto, "policy_replay", check_index=False)
-    if geometry is None:
-        return False
-    ext = _ext()
-    if isinstance(proto, DirectoryProtocol):
-        policy = ext.POLICY_DIRECTORY
-    else:
-        policy = ext.POLICY_SNOOPING
-    return _open_session(
-        proto, trace, out, "policy_replay", policy, geometry
-    )
-
-
 # ----------------------------------------------------------------------
-# timing_pass: TimingSimulator._timing_pass_simple
+# timing passes: TimingSimulator._run_columns on a crossbar
 # ----------------------------------------------------------------------
 
 def timing_pass(simulator, measured, out) -> bool:

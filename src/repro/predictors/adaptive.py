@@ -132,23 +132,6 @@ class BandwidthAdaptivePredictor(DestinationSetPredictor):
         self._conservative.train_external(address, pc, requester, access)
 
     # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        self._aggressive.train_external_batch(
-            key, address, pc, requester, access, count
-        )
-        self._conservative.train_external_batch(
-            key, address, pc, requester, access, count
-        )
-
-    # ------------------------------------------------------------------
     def entry_bits(self) -> int:
         return (
             self._aggressive.entry_bits()

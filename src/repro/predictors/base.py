@@ -24,59 +24,13 @@ exactly the per-set LRU order of the previous representation.
 from __future__ import annotations
 
 import abc
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import Callable, Dict, Generic, List, Optional, TypeVar
 
 from repro.common.destset import DestinationSet
 from repro.common.params import PredictorConfig
 from repro.common.types import AccessType, Address, NodeId
 
 EntryT = TypeVar("EntryT")
-
-
-class FusedKernel(NamedTuple):
-    """Inlined per-policy kernels for the fused multicast replay loop.
-
-    Built once per run over one protocol's per-node predictors (all of
-    the same concrete type) by
-    :meth:`DestinationSetPredictor.fused_kernel`.  The closures operate
-    directly on the predictors' flat table state, so the hot loop pays
-    one call per phase instead of one per (record, node):
-
-    - ``predict(requester, key, address, code) -> int`` — predicted
-      extra-destination bitmask,
-    - ``train_response(requester, key, address, responder, code,
-      allocate)`` — data-response training at the requester,
-    - ``train_external(mask, key, address, requester, code, count)``
-      — external-request training fanned out to every node in
-      ``mask``, applied ``count`` times (a fused batch of identical
-      consecutive requests); ``None`` for policies that ignore
-      external requests,
-    - ``train_truth(requester, address, truth_bits)`` — directory
-      feedback; ``None`` for policies that ignore it,
-    - ``sync()`` — write cached hot state (e.g. LRU ticks) back to
-      the predictor objects after the loop.
-
-    Kernels must leave predictor state *identical* to the equivalent
-    sequence of per-record method calls (the columnar equivalence
-    suite enforces this), with one sanctioned exception: collapsing
-    repeated same-key LRU touches into one preserves relative
-    recency order, so absolute tick values may differ.
-    """
-
-    predict: Callable[[int, int, int, int], int]
-    train_response: Callable[[int, int, int, int, int, int], None]
-    train_external: Optional[Callable[[int, int, int, int, int, int], None]]
-    train_truth: Optional[Callable[[int, int, int], None]]
-    sync: Callable[[], None]
 
 
 def indexing_key(
@@ -284,45 +238,6 @@ class DestinationSetPredictor(abc.ABC):
     ) -> None:
         """:meth:`train_external` with the table key already computed."""
         self.train_external(address, pc, requester, access)
-
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        """Apply ``count`` identical external-request training events.
-
-        The multicast replay loop groups consecutive requests with the
-        same (table key, requester, access, destination set) into one
-        batch and delivers a single call per trained predictor.  Table
-        policies override this with count-aware kernels that update
-        the entry once; the default replays the per-event call.
-
-        Contract: training this node's predictor must not affect any
-        *other* node's predictions (per-node state independence) —
-        that is what makes deferring the fan-out to the end of a run
-        of identical requests exact.
-        """
-        for _ in range(count):
-            self.train_external_key(key, address, pc, requester, access)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fused_kernel(
-        cls, predictors: "Sequence[DestinationSetPredictor]"
-    ) -> Optional[FusedKernel]:
-        """Build a :class:`FusedKernel` over one protocol's predictors.
-
-        Called with the per-node predictor list when every instance is
-        exactly of type ``cls``; returns ``None`` (the default) when
-        the policy has no fused implementation, in which case the
-        replay loop falls back to per-record method calls.
-        """
-        return None
 
     # ------------------------------------------------------------------
     def train_truth(

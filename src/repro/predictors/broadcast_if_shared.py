@@ -8,16 +8,10 @@ processors and decremented on responses from memory.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.common.destset import DestinationSet, full_mask
+from repro.common.destset import DestinationSet
 from repro.common.params import PredictorConfig
 from repro.common.types import AccessType, Address, MEMORY_NODE, NodeId
-from repro.predictors.base import (
-    DestinationSetPredictor,
-    FusedKernel,
-    PredictorTable,
-)
+from repro.predictors.base import DestinationSetPredictor, PredictorTable
 
 _COUNTER_MAX = 3  # 2-bit saturating counter
 
@@ -133,87 +127,6 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
         self.train_external_key(
             self._table.key_for(address, pc),
             address, pc, requester, access,
-        )
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        # ``count`` saturating increments collapse to one clamped add.
-        entry = self._table.lookup(key)
-        if entry is not None:
-            total = entry.counter + count
-            entry.counter = total if total < _COUNTER_MAX else _COUNTER_MAX
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fused_kernel(
-        cls, predictors: "Sequence[BroadcastIfSharedPredictor]"
-    ) -> Optional[FusedKernel]:
-        tables = [p._table for p in predictors]
-        entries_l = [t._entries for t in tables]
-        stamps_l = [t._stamps for t in tables]
-        ticks = [t._tick for t in tables]
-        bounded = tables[0]._bounded
-        broadcast = full_mask(predictors[0].n_nodes)
-        MEM = MEMORY_NODE
-        cmax = _COUNTER_MAX
-        scratch = [None]
-
-        def predict(requester, key, address, code):
-            entry = entries_l[requester].get(key)
-            scratch[0] = entry
-            if entry is None:
-                return 0
-            if bounded:
-                stamps_l[requester][key] = ticks[requester]
-                ticks[requester] += 1
-            if entry.counter > 1:
-                return broadcast
-            return 0
-
-        def train_response(requester, key, address, responder, code,
-                           allocate):
-            entry = scratch[0]
-            if entry is None:
-                if not allocate:
-                    return
-                table = tables[requester]
-                table._tick = ticks[requester]
-                entry = table.lookup_allocate(key)
-                ticks[requester] = table._tick
-            if responder == MEM and not allocate:
-                if entry.counter > 0:
-                    entry.counter -= 1
-            elif entry.counter < cmax:
-                entry.counter += 1
-
-        def train_external(mask, key, address, requester, code, count):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                node = low.bit_length() - 1
-                entry = entries_l[node].get(key)
-                if entry is None:
-                    continue
-                if bounded:
-                    stamps_l[node][key] = ticks[node]
-                    ticks[node] += 1
-                total = entry.counter + count
-                entry.counter = total if total < cmax else cmax
-
-        def sync():
-            for table, tick in zip(tables, ticks):
-                table._tick = tick
-
-        return FusedKernel(
-            predict, train_response, train_external, None, sync
         )
 
     # ------------------------------------------------------------------

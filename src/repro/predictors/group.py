@@ -160,37 +160,6 @@ class GroupPredictor(DestinationSetPredictor):
         )
 
     # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        entry = self._table.lookup(key)
-        if entry is None:
-            return
-        if not self._train_down:
-            # No decay: ``count`` saturating increments collapse to a
-            # clamped add plus one threshold-crossing bits update.
-            counters = entry.counters
-            before = counters[requester]
-            after = before + count
-            if after > self._counter_max:
-                after = self._counter_max
-            counters[requester] = after
-            if before <= self._threshold < after:
-                entry.bits |= 1 << requester
-            return
-        # The rollover counter may wrap (triggering train-down decay)
-        # mid-batch, so replay the events — inline, with the entry
-        # looked up and LRU-touched exactly once for the whole batch.
-        for _ in range(count):
-            self._train(entry, requester)
-
-    # ------------------------------------------------------------------
     def entry_bits(self) -> int:
         return self._counter_bits * self.n_nodes + 5
 
@@ -203,11 +172,12 @@ class GroupPredictor(DestinationSetPredictor):
         }
 
     def _train(self, entry: _GroupEntry, node: NodeId) -> None:
-        # COUPLING: inlined copies of this rule live in the fused
-        # replay loops (protocols/fused.py: run_group) and the
-        # Owner/Group hybrid kernel (owner_group.py: _train_group);
-        # mirror any semantic change there.  The columnar equivalence
-        # suite compares full table state and catches divergence.
+        # COUPLING: this rule has exactly two implementations — this
+        # method (the record path and the scalar ``_handle_fast`` loop
+        # both call it) and the compiled replay kernel
+        # (kernels/_native.c, shared by Group and Owner/Group); mirror
+        # any semantic change there.  The columnar equivalence suite
+        # compares full table state and catches divergence.
         counters = entry.counters
         count = counters[node]
         if count < self._counter_max:

@@ -8,16 +8,10 @@ extra control message per request, independent of system size.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.common.destset import DestinationSet
 from repro.common.params import PredictorConfig
 from repro.common.types import AccessType, Address, MEMORY_NODE, NodeId
-from repro.predictors.base import (
-    DestinationSetPredictor,
-    FusedKernel,
-    PredictorTable,
-)
+from repro.predictors.base import DestinationSetPredictor, PredictorTable
 
 
 class _OwnerEntry:
@@ -123,86 +117,6 @@ class OwnerPredictor(DestinationSetPredictor):
         self.train_external_key(
             self._table.key_for(address, pc),
             address, pc, requester, access,
-        )
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        # Setting the owner is idempotent: ``count`` repeats collapse
-        # to one table update (one LRU touch keeps recency order).
-        if access is AccessType.GETX:
-            self.train_external_key(key, address, pc, requester, access)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fused_kernel(
-        cls, predictors: "Sequence[OwnerPredictor]"
-    ) -> Optional[FusedKernel]:
-        tables = [p._table for p in predictors]
-        entries_l = [t._entries for t in tables]
-        stamps_l = [t._stamps for t in tables]
-        ticks = [t._tick for t in tables]
-        bounded = tables[0]._bounded
-        MEM = MEMORY_NODE
-        scratch = [None]  # entry found by predict, reused by train
-
-        def predict(requester, key, address, code):
-            entry = entries_l[requester].get(key)
-            scratch[0] = entry
-            if entry is None:
-                return 0
-            if bounded:
-                stamps_l[requester][key] = ticks[requester]
-                ticks[requester] += 1
-            if entry.valid:
-                return 1 << entry.owner
-            return 0
-
-        def train_response(requester, key, address, responder, code,
-                           allocate):
-            entry = scratch[0]
-            if entry is None:
-                if not allocate:
-                    return
-                table = tables[requester]
-                table._tick = ticks[requester]
-                entry = table.lookup_allocate(key)
-                ticks[requester] = table._tick
-            if responder == MEM:
-                entry.valid = False
-            else:
-                entry.owner = responder
-                entry.valid = True
-
-        def train_external(mask, key, address, requester, code, count):
-            if not code:
-                return  # Table 3: requests for shared are ignored.
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                node = low.bit_length() - 1
-                entry = entries_l[node].get(key)
-                if entry is None:
-                    continue
-                if bounded:
-                    stamps_l[node][key] = ticks[node]
-                    ticks[node] += 1
-                entry.owner = requester
-                entry.valid = True
-
-        def sync():
-            for table, tick in zip(tables, ticks):
-                table._tick = tick
-
-        return FusedKernel(
-            predict, train_response, train_external, None, sync
         )
 
     # ------------------------------------------------------------------

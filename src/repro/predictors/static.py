@@ -44,17 +44,6 @@ class _StaticPredictor(DestinationSetPredictor):
     ) -> None:
         return None
 
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        return None
-
 
 class MinimalPredictor(_StaticPredictor):
     """Always the minimal destination set (directory-like)."""

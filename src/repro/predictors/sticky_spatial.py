@@ -16,12 +16,12 @@ Section 3.5:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.common.destset import DestinationSet
 from repro.common.params import PredictorConfig
 from repro.common.types import AccessType, Address, NodeId
-from repro.predictors.base import DestinationSetPredictor, FusedKernel
+from repro.predictors.base import DestinationSetPredictor
 
 
 class StickySpatialPredictor(DestinationSetPredictor):
@@ -93,71 +93,6 @@ class StickySpatialPredictor(DestinationSetPredictor):
         access: AccessType,
     ) -> None:
         return None
-
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        return None  # StickySpatial learns only from the directory.
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fused_kernel(
-        cls, predictors: "Sequence[StickySpatialPredictor]"
-    ) -> Optional[FusedKernel]:
-        granularity = cls.BLOCK_GRANULARITY
-        entries_l = [p._entries for p in predictors]
-        config = predictors[0].config
-        if any(p.config != config for p in predictors):
-            return None
-        unbounded = config.unbounded
-        n_entries = None if unbounded else config.n_entries
-
-        def predict(requester, key, address, code):
-            block_number = address // granularity
-            entries = entries_l[requester]
-            bits = 0
-            for neighbour in (
-                block_number - 1, block_number, block_number + 1
-            ):
-                entry = entries.get(
-                    neighbour if unbounded else neighbour % n_entries
-                )
-                if entry is not None:
-                    bits |= entry[1]
-            return bits
-
-        def train_response(requester, key, address, responder, code,
-                           allocate):
-            return None  # Learns exclusively from directory feedback.
-
-        def train_truth(requester, address, truth_bits):
-            block_number = address // granularity
-            index = (
-                block_number if unbounded else block_number % n_entries
-            )
-            entries = entries_l[requester]
-            entry = entries.get(index)
-            if entry is None:
-                entries[index] = (block_number, truth_bits)
-                predictors[requester].n_allocations += 1
-            elif entry[0] == block_number:
-                entries[index] = (block_number, entry[1] | truth_bits)
-            else:
-                entries[index] = (block_number, truth_bits)
-                predictors[requester].n_replacements += 1
-
-        def sync():
-            return None
-
-        return FusedKernel(
-            predict, train_response, None, train_truth, sync
-        )
 
     # ------------------------------------------------------------------
     def entry_bits(self) -> int:

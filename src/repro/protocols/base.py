@@ -6,9 +6,11 @@ Protocols expose two execution paths over one transaction model:
   :class:`TraceRecord` and returns a full :class:`RequestOutcome` —
   the record-oriented API for analyses, tests, and custom consumers.
 - :meth:`CoherenceProtocol.run` over a columnar :class:`Trace`
-  dispatches to an allocation-free loop that indexes the trace's
-  columns directly and calls the protocol's ``_handle_fast`` scalar
-  kernel per request, folding accounting into local variables.
+  replays natively when the protocol has a compiled twin inside the
+  native envelope (:func:`repro.kernels.try_replay`), and otherwise
+  runs an allocation-free loop that indexes the trace's columns
+  directly and calls the protocol's ``_handle_fast`` scalar kernel per
+  request, folding accounting into local variables.
 
 The fast loop is only taken when the concrete class pairs its
 ``_handle`` with a ``_handle_fast`` implementation; subclasses that
@@ -25,6 +27,7 @@ import enum
 from array import array
 from typing import Optional
 
+from repro import kernels
 from repro.common.params import LatencyModel, SystemConfig, TrafficModel
 from repro.coherence.state import CoherenceOutcome, GlobalCoherenceState
 from repro.trace.record import TraceRecord
@@ -288,14 +291,16 @@ class CoherenceProtocol(abc.ABC):
     def _run_columns(
         self, trace: Trace, out: "Optional[OutcomeColumns]" = None
     ) -> None:
-        """Replay ``trace`` via ``_handle_fast``, accumulating locally.
+        """Replay ``trace`` natively when the protocol has a native
+        twin (:func:`repro.kernels.try_replay`), else via
+        ``_handle_fast``, accumulating locally.
 
         With ``out``, per-record latency and link-transfer bytes are
         appended to its columns for downstream batch consumers (the
         timing simulator's second pass).
         """
-        if self._session is not None:
-            self._session.materialise()
+        if kernels.try_replay(self, trace, out):
+            return
         self._prepare_fast_run()
         handle_fast = self._handle_fast
         control = self.traffic.control_bytes

@@ -27,7 +27,6 @@ replayed request also scores its prediction into it (see
 
 from __future__ import annotations
 
-import functools
 import random
 import weakref
 from typing import TYPE_CHECKING, List, Optional
@@ -39,16 +38,13 @@ from repro.coherence.sufficiency import is_sufficient, minimal_set
 from repro.predictors.base import DestinationSetPredictor
 from repro.predictors.registry import create_predictor
 from repro.predictors.static import OraclePredictor
-from repro import kernels
-from repro.protocols import fused
 from repro.protocols.base import (
     CoherenceProtocol,
     LatencyClass,
-    OutcomeColumns,
     RequestOutcome,
 )
 from repro.trace.record import TraceRecord
-from repro.trace.trace import ACCESS_BY_CODE, Trace
+from repro.trace.trace import ACCESS_BY_CODE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.accuracy import AccuracyReport
@@ -200,9 +196,9 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
         # Subclasses and ablation harnesses may swap predictors in
         # after construction; whole-list assignment lands in the
         # property setter and item-level mutation in _PredictorList,
-        # both of which re-run this refresh immediately.  Columnar
-        # replays refresh once more on entry, which also covers
-        # subclasses that replace ``_predictors`` wholesale.
+        # both of which re-run this refresh immediately.  The scalar
+        # columnar loop refreshes once more on entry, which also
+        # covers subclasses that replace ``_predictors`` wholesale.
         self._train_external_fns = [
             p.train_external_key for p in self._predictors
         ]
@@ -213,63 +209,6 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
             is not DestinationSetPredictor.train_truth
             for p in self._predictors
         )
-
-    # ------------------------------------------------------------------
-    def _run_columns(
-        self, trace: Trace, out: Optional[OutcomeColumns] = None
-    ) -> None:
-        """Batched columnar replay (see :mod:`repro.protocols.fused`).
-
-        Picks the fastest applicable tier: the native replay (on the
-        attached session, or a new one), then the fully-inlined Group
-        loop, a policy :class:`~repro.predictors.base.FusedKernel`
-        skeleton, or the generic per-record loop with fused external
-        training batches.  Subclasses that override ``_handle_fast``
-        keep the base per-record loop, and so does a scored run
-        (``accuracy`` set) that the native tier declines: the Python
-        fused tiers never score.
-        """
-        resident = self._session is not None
-        if resident and kernels.try_session_replay(self, trace, out):
-            return
-        # A session that declined has materialised itself; the Python
-        # tiers below see current state.
-        self._prepare_fast_run()
-        predictors = self._predictors
-        if (
-            type(self)._handle_fast
-            is not MulticastSnoopingProtocol._handle_fast
-            or not predictors
-        ):
-            super()._run_columns(trace, out)
-            return
-        first_type = type(predictors[0])
-        homogeneous = all(type(p) is first_type for p in predictors)
-        native = None
-        python_tier = functools.partial(fused.run_generic, self, trace, out)
-        if homogeneous and not self._needs_truth and fused.group_uniform(
-            predictors
-        ):
-            native = kernels.try_group_replay
-            python_tier = functools.partial(fused.run_group, self, trace, out)
-        else:
-            kernel = (
-                first_type.fused_kernel(predictors) if homogeneous
-                else None
-            )
-            if kernel is not None and (
-                not self._needs_truth or kernel.train_truth is not None
-            ):
-                native = kernels.try_policy_replay
-                python_tier = functools.partial(
-                    fused.run_kernel, self, trace, kernel, out
-                )
-        if native is not None and not resident and native(self, trace, out):
-            return
-        if self.accuracy is not None:
-            super()._run_columns(trace, out)
-        else:
-            python_tier()
 
     # ------------------------------------------------------------------
     def _handle(self, record: TraceRecord) -> RequestOutcome:

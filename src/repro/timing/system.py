@@ -12,9 +12,10 @@ model from :mod:`repro.timing.registry` (the paper's crossbar by
 default), or an instance can be injected directly.  Both timing loops
 — the record-oriented reference loop and the columnar two-pass engine
 — consume the model through the same :meth:`Interconnect.acquire`
-call, so every registered model works on both paths; only the default
-crossbar + simple-processor combination additionally takes the inlined
-fast pass (kept operation-identical to the generic loop).
+call, so every registered model works on both paths; under the native
+backend the crossbar with either processor model additionally takes
+a compiled pass (:func:`repro.kernels.try_timing_pass`), kept
+operation-identical to the generic loop.
 """
 
 from __future__ import annotations
@@ -158,24 +159,18 @@ class TimingSimulator:
         protocol._run_columns(measured, out)
 
         processors = self.processors
-        if type(self.interconnect) is CrossbarInterconnect and all(
-            type(p) is SimpleProcessorModel
-            and p.INSTRUCTIONS_PER_NS
-            == SimpleProcessorModel.INSTRUCTIONS_PER_NS
-            for p in processors
-        ):
-            if kernels.try_timing_pass(self, measured, out):
-                return
-            _, _, requesters, _, instructions = measured.boxed_columns()
-            self._timing_pass_simple(
-                requesters, instructions, out, processors
-            )
-            return
-        if type(self.interconnect) is CrossbarInterconnect and all(
-            type(p) is DetailedProcessorModel for p in processors
-        ):
-            if kernels.try_timing_pass_detailed(self, measured, out):
-                return
+        if type(self.interconnect) is CrossbarInterconnect:
+            if all(
+                type(p) is SimpleProcessorModel
+                and p.INSTRUCTIONS_PER_NS
+                == SimpleProcessorModel.INSTRUCTIONS_PER_NS
+                for p in processors
+            ):
+                if kernels.try_timing_pass(self, measured, out):
+                    return
+            elif all(type(p) is DetailedProcessorModel for p in processors):
+                if kernels.try_timing_pass_detailed(self, measured, out):
+                    return
         _, _, requesters, _, instructions = measured.boxed_columns()
         acquire = self.interconnect.acquire
         for requester, gap, transfer_bytes, base_ns in zip(
@@ -191,47 +186,6 @@ class TimingSimulator:
                 base_ns if base_ns > link_delay else link_delay
             )
             processor.complete_miss(completion)
-
-    def _timing_pass_simple(
-        self, requesters, instructions, out: OutcomeColumns, processors
-    ) -> None:
-        """The timing pass with the in-order blocking model inlined.
-
-        Crossbar-only (the caller guards on the interconnect type):
-        replicates ``compute``/``issue_miss``/``acquire``/
-        ``complete_miss`` operation-for-operation (identical float
-        expressions), then writes the clocks and link statistics back.
-        """
-        interconnect = self.interconnect
-        link_free = interconnect._link_free  # mutated in place
-        bandwidth = interconnect._bandwidth
-        bytes_carried = interconnect.bytes_carried
-        total_queue_ns = interconnect.total_queue_ns
-        per_ns = SimpleProcessorModel.INSTRUCTIONS_PER_NS
-        clocks = [p.now_ns for p in processors]
-
-        for requester, gap, transfer_bytes, base_ns in zip(
-            requesters, instructions, out.transfer_bytes, out.latency_ns,
-        ):
-            issue_ns = clocks[requester] + gap / per_ns
-            free_ns = link_free[requester]
-            start = issue_ns if issue_ns >= free_ns else free_ns
-            total_queue_ns += start - issue_ns
-            finish = start + transfer_bytes / bandwidth
-            link_free[requester] = finish
-            bytes_carried += transfer_bytes
-            link_delay = finish - issue_ns
-            completion = issue_ns + (
-                base_ns if base_ns > link_delay else link_delay
-            )
-            clocks[requester] = (
-                issue_ns if issue_ns >= completion else completion
-            )
-
-        for processor, clock in zip(processors, clocks):
-            processor.now_ns = clock
-        interconnect.bytes_carried = bytes_carried
-        interconnect.total_queue_ns = total_queue_ns
 
     def _result(
         self, trace: Trace, totals, runtime: float

@@ -1,23 +1,22 @@
-"""Vectorized derived-column computation (optional numpy backend).
+"""Vectorized derived-column computation (the optional numpy accelerator).
 
-The batch execution layer replays traces through fused loops that
-iterate *pre-boxed* Python lists: every derived quantity the protocol
-kernels need per record — block-aligned addresses, predictor index
-keys, home nodes, and the minimal-destination-set / requester bitmasks
-— is computed once per trace as a column instead of per record.
+Every derived quantity a batch consumer needs per record —
+block-aligned addresses, predictor index keys, home nodes, and the
+minimal-destination-set / requester bitmasks — is computed once per
+trace as a column instead of per record.
 
 When numpy is importable the columns are produced by vectorized int64
 arithmetic over the trace's flat ``array`` buffers and then boxed with
 ``tolist()``; otherwise a pure-Python comprehension produces the same
-lists.  Both backends yield *identical* Python ints, so simulation
-results are byte-for-byte independent of the backend — the equivalence
-suite asserts this.
+lists.  Both paths yield *identical* Python ints, so simulation
+results are byte-for-byte independent of the accelerator — the
+equivalence suites assert this.
 
-Set ``REPRO_BACKEND=pure`` (or the deprecated back-compat alias
-``REPRO_PURE_PYTHON=1``) in the environment to force the pure backend
-even when numpy is installed (CI runs both); see
-:mod:`repro.common.backend` for the unified backend switch this
-column-level selection is one layer of.
+numpy is an accelerator, not a backend: it is used whenever it
+imports, under either replay backend of :mod:`repro.common.backend`.
+Set ``REPRO_PURE_PYTHON=1`` in the environment to turn it off even
+when numpy is installed (CI runs both); tests toggle it in-process
+with :func:`set_backend`.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ import os
 from array import array
 from typing import List, NamedTuple, Optional
 
-#: Environment variable that force-disables the numpy backend
-#: (deprecated alias of ``REPRO_BACKEND=pure``).
+#: Environment variable that turns the numpy accelerator off.
 PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
 #: Bitmask columns need one bit per node in an int64 numpy lane.
@@ -43,23 +41,19 @@ def _import_numpy():
 
 
 def _env_forces_pure() -> bool:
-    return bool(
-        os.environ.get(PURE_PYTHON_ENV)
-        or os.environ.get("REPRO_BACKEND", "").strip().lower()
-        in ("pure", "python")
-    )
+    return bool(os.environ.get(PURE_PYTHON_ENV))
 
 
 _np = None if _env_forces_pure() else _import_numpy()
 
 
 def backend_name() -> str:
-    """The active column backend: ``"numpy"`` or ``"python"``."""
+    """The numpy accelerator's state: ``"numpy"`` or ``"python"``."""
     return "numpy" if _np is not None else "python"
 
 
 def numpy_module():
-    """The numpy module when the numpy backend is active, else None.
+    """The numpy module when the numpy accelerator is on, else None.
 
     The batched generation layer (:mod:`repro.workloads.genchunks`) and
     the analysis column kernels consult this at call time, so
@@ -69,46 +63,31 @@ def numpy_module():
 
 
 def set_backend(name: str) -> None:
-    """Select the column backend: ``"numpy"``, ``"python"``, ``"auto"``.
+    """Turn the numpy accelerator off (``"python"``) or on
+    (``"numpy"``), or back to the environment default (``"auto"``).
 
     Intended for tests and benchmarks; raises if numpy is requested
-    but not importable.  ``"auto"`` re-runs the import-time detection
-    (honouring ``REPRO_BACKEND`` and :data:`PURE_PYTHON_ENV`).
-
-    Pinning a column backend also pins the matching unified tier in
-    :mod:`repro.common.backend` ("python" -> pure, "numpy" -> numpy),
-    so the equivalence suites that parametrize over this function
-    compare the Python replay loops and never silently dispatch the
-    native kernels.
+    but not importable.  Pinning ``"python"`` or ``"numpy"`` also pins
+    the ``pure`` replay backend in :mod:`repro.common.backend`, so the
+    equivalence suites that parametrize over this function compare
+    the record path with the scalar Python loops and never silently
+    dispatch the native kernels.
     """
-    _apply(name)
-    from repro.common import backend as _backend
-
-    _backend._sync_from_columns(name)
-
-
-def _apply(name: str) -> None:
-    """Low-level column switch (no unified-backend notification)."""
     global _np
     if name == "python":
         _np = None
-    elif name in ("numpy", "numpy-if-available"):
+    elif name == "numpy":
         numpy = _import_numpy()
         if numpy is None:
-            if name == "numpy-if-available":
-                _np = None
-                return
             raise RuntimeError("numpy backend requested but not importable")
         _np = numpy
     elif name == "auto":
         _np = None if _env_forces_pure() else _import_numpy()
-    elif name == "auto-numpy":
-        # Unified auto resolved to a non-pure tier: numpy when
-        # importable regardless of the pure-forcing env (the caller
-        # already decided the tier).
-        _np = _import_numpy()
     else:
         raise ValueError(f"unknown backend {name!r}")
+    from repro.common import backend as _backend
+
+    _backend._sync_from_columns(name)
 
 
 class DerivedColumns(NamedTuple):

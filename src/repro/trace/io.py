@@ -92,7 +92,7 @@ _V2_DERIVED_SEGMENTS = (
 MMAP_ENV = "REPRO_MMAP"
 
 #: Largest node count whose derived bitmask columns fit int64
-#: segments (mirrors the numpy tier's single-lane envelope).
+#: segments (mirrors the numpy accelerator's single-lane envelope).
 _MAX_DERIVED_NODES = 62
 
 PathLike = Union[str, "os.PathLike[str]"]

@@ -281,11 +281,11 @@ class Trace:
     def boxed_column(self, name: str) -> list:
         """One raw column as a pre-boxed list (cached per column).
 
-        Fused replay loops iterate lists instead of flat arrays so
-        each element is boxed once per trace rather than once per
-        replay; boxing lazily per column keeps consumers that need
-        only a subset (the Group loop, the timing pass) from pinning
-        the rest.  ``name`` is one of ``addresses``/``pcs``/
+        The scalar replay loop and the generic timing pass iterate
+        lists instead of flat arrays so each element is boxed once per
+        trace rather than once per replay; boxing lazily per column
+        keeps consumers that need only a subset from pinning the
+        rest.  ``name`` is one of ``addresses``/``pcs``/
         ``requesters``/``accesses``/``instructions``.
         """
         if name not in (

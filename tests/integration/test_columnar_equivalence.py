@@ -1,17 +1,19 @@
-"""Columnar engine vs. record-object engine equivalence.
+"""Columnar engine vs. record-object engine equivalence: record ≡ scalar.
 
-The columnar trace engine replays traces through fused batch loops
-(and allocation-free scalar kernels); the record-oriented path builds
-:class:`TraceRecord`/:class:`RequestOutcome` objects per request.
-Both must produce *identical* results — totals, runtime results,
-accuracy numbers, and predictor table state — for every protocol and
-predictor on every registered workload, on both column backends
-(numpy-vectorized and pure Python).  This is the correctness contract
-that lets the fast paths exist at all.
+The columnar trace engine replays traces through each protocol's
+allocation-free scalar ``_handle_fast`` loop; the record-oriented path
+builds :class:`TraceRecord`/:class:`RequestOutcome` objects per
+request.  Both must produce *identical* results — totals, runtime
+results, accuracy numbers, and predictor table state — for every
+protocol and predictor on every registered workload, with the numpy
+accelerator on and off.  This is the correctness contract that lets
+the fast paths exist at all (the native kernels are held to the same
+oracle by ``test_kernel_abi.py`` and ``test_accuracy_differential.py``).
 
-The backend is parametrized in-process via
-:func:`repro.trace.columns.set_backend`; CI additionally runs the
-whole suite with ``REPRO_PURE_PYTHON=1`` on an interpreter without
+The accelerator is toggled in-process via
+:func:`repro.trace.columns.set_backend` ("numpy" = on, "python" =
+off), which also pins the ``pure`` replay tier; CI additionally runs
+the whole suite with ``REPRO_PURE_PYTHON=1`` on an interpreter without
 numpy installed.
 """
 
@@ -46,7 +48,8 @@ BACKENDS = _available_backends()
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    """Run the test under one column backend, then restore detection."""
+    """Run the test with the numpy accelerator on or off (pure tier),
+    then restore detection."""
     trace_columns.set_backend(request.param)
     yield request.param
     trace_columns.set_backend("auto")
@@ -80,9 +83,10 @@ def _predictor_table_state(protocol):
 
     Walks ``__dict__``/slots recursively so any policy's counters,
     owner fields, bitmasks, and direct-mapped entries are captured;
-    LRU access stamps and clocks are deliberately excluded (fused
-    batches collapse repeated same-key touches, which preserves
-    recency *order* but not absolute tick values).
+    LRU access stamps and clocks are deliberately excluded (the native
+    kernel's batched external training collapses repeated same-key
+    touches, which preserves recency *order* but not absolute tick
+    values).
     """
 
     def snapshot(value, depth=0):
@@ -182,7 +186,7 @@ def test_predictor_tables_identical(traces, policy):
 @pytest.mark.parametrize("policy", ("group", "owner", "minimal"))
 def test_race_probability_path_identical(traces, policy):
     """The window-of-vulnerability retry path draws the same RNG
-    sequence (and produces the same totals) in the fused loops as in
+    sequence (and produces the same totals) in the scalar loop as in
     the record-object engine."""
     from repro.protocols.multicast import MulticastSnoopingProtocol
 
@@ -205,7 +209,7 @@ def test_race_probability_path_identical(traces, policy):
 def test_resultset_json_identical_across_backends_and_runners(tmp_path):
     """One spec, four executions, byte-identical ResultSet JSON.
 
-    numpy vs pure-python columns x serial vs process-parallel: the
+    numpy accelerator on vs off x serial vs process-parallel: the
     acceptance contract for the batch execution layer.
     """
     from repro.experiment import ExperimentSpec, Runner

@@ -2,10 +2,11 @@
 
 Three contracts, each enforced byte-for-byte:
 
-1. **Backend equivalence** — the chunked generation engine produces
-   bit-identical traces under the numpy and pure-Python backends for
-   every workload in the registry (two seeds each), and is invariant
-   to the chunk size.
+1. **Accelerator equivalence** — the chunked generation engine
+   produces bit-identical traces with the numpy accelerator on and
+   off (``columns.set_backend("numpy"/"python")``, both under the
+   ``pure`` replay tier) for every workload in the registry (two
+   seeds each), and is invariant to the chunk size.
 2. **Collector equivalence** — the chunk-consuming collector fast
    path, fed the scalar oracle stream, matches the original
    record-at-a-time collector exactly (trace bytes and counters).

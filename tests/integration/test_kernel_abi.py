@@ -1,14 +1,18 @@
 """Kernel-ABI conformance: every backend, every kernel, same bytes.
 
-:mod:`repro.kernels` names the replay hot loops (group + policy
-replays, chunk collector, simple + detailed timing passes) as an
-explicit ABI with three registered
-backends — ``pure``, ``numpy``, ``native``.  The contract is that the
-unified backend switch (:mod:`repro.common.backend`) selects *speed
-only*: every kernel must produce byte-identical traces, totals,
-predictor-table state, coherence state, and timing results under every
-backend, for every protocol and predictor — including configurations
-where a backend's fastest tier declines (falls back) mid-run.
+:mod:`repro.kernels` names the replay hot loops (protocol replay,
+chunk collector, simple + detailed timing passes) as an explicit ABI
+with two registered backends — ``pure`` and ``native``.  The contract
+is that the unified backend switch (:mod:`repro.common.backend`)
+selects *speed only*: every kernel must produce byte-identical traces,
+totals, predictor-table state, coherence state, and timing results
+under every backend, for every protocol and predictor — including
+configurations where a backend's fastest tier declines (falls back)
+mid-run.
+
+Each kernel is also checked on the ``pure`` tier with the numpy
+accelerator off (``pure-python``, the ``REPRO_PURE_PYTHON=1``
+configuration), which is where the ground truth is computed.
 
 The native parametrization is skipped with a reason when the compiled
 extension is absent (source-only checkout, no compiler), keeping the
@@ -23,6 +27,7 @@ from repro.common.params import PredictorConfig, SystemConfig
 from repro.evaluation.runtime import make_protocol
 from repro.predictors.registry import PAPER_POLICIES
 from repro.timing.system import TimingSimulator
+from repro.trace import columns as trace_columns
 from repro.workloads import create_workload
 
 from test_columnar_equivalence import _predictor_table_state
@@ -34,13 +39,21 @@ PROTOCOL_LABELS = (
 )
 PROCESSOR_MODELS = ("simple", "detailed")
 
-ALL_BACKENDS = _backend.BACKENDS  # pure, numpy, native
+ALL_BACKENDS = _backend.BACKENDS  # pure, native
+#: The pure tier with the numpy accelerator off.
+PURE_PYTHON = "pure-python"
 
 
-@pytest.fixture(params=ALL_BACKENDS)
+@pytest.fixture(params=(PURE_PYTHON, *ALL_BACKENDS))
 def unified_backend(request):
-    """Select one registered backend; skip-with-reason when absent."""
+    """Select one registered backend (or the pure tier with numpy
+    off); skip-with-reason when absent."""
     name = request.param
+    if name == PURE_PYTHON:
+        trace_columns.set_backend("python")
+        yield name
+        trace_columns.set_backend("auto")
+        return
     if name not in kernels.available_backends():
         pytest.skip(
             f"{name} backend unavailable on this machine"
@@ -58,8 +71,8 @@ def unified_backend(request):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Ground truth computed under the pure backend."""
-    _backend.set_backend("pure")
+    """Ground truth computed under the pure backend, numpy off."""
+    trace_columns.set_backend("python")
     try:
         trace = create_workload(WORKLOAD, seed=13).collect(
             N_REFERENCES
@@ -90,7 +103,7 @@ def reference():
                 runtimes,
             )
     finally:
-        _backend.set_backend("auto")
+        trace_columns.set_backend("auto")
     return {"trace": trace, "runs": runs}
 
 
@@ -160,3 +173,60 @@ def test_backend_registry_shape():
     assert names[0] == "pure"
     assert set(names) <= set(ALL_BACKENDS)
     assert kernels.native_available() == ("native" in names)
+
+
+@pytest.mark.parametrize(
+    "predictors", ("oracle", "bandwidth-adaptive", "mixed")
+)
+def test_lists_without_native_twin_replay_scalar(
+    reference, monkeypatch, predictors
+):
+    """Predictor lists with no native twin replay on the scalar loop.
+
+    Under ``REPRO_BACKEND=native`` the oracle, bandwidth-adaptive and
+    a mixed Owner/Group list each equal the record oracle and record
+    no decline; ``numpy`` is no longer a backend and is rejected.
+    """
+    from repro.predictors.group import GroupPredictor
+
+    previous = _backend.backend_name()
+    monkeypatch.setenv(_backend.BACKEND_ENV, "numpy")
+    with pytest.raises(ValueError):
+        _backend.set_backend("auto")
+    with pytest.raises(ValueError):
+        _backend.set_backend("numpy")
+    if not kernels.native_available():
+        pytest.skip("native backend unavailable on this machine")
+
+    config = SystemConfig()
+
+    def build():
+        label = "owner" if predictors == "mixed" else predictors
+        protocol = make_protocol(label, config, PredictorConfig())
+        if predictors == "mixed":
+            protocol.predictors[1] = GroupPredictor(
+                config.n_processors, protocol.predictor_config
+            )
+        return protocol
+
+    trace = reference["trace"][:]
+    oracle = build()
+    for record in trace:
+        oracle.handle(record)
+
+    monkeypatch.setenv(_backend.BACKEND_ENV, "native")
+    _backend.set_backend("auto")
+    try:
+        assert _backend.backend_name() == "native"
+        kernels.reset_decline_counts()
+        protocol = build()
+        protocol.run(trace)
+        assert kernels.decline_counts() == {}
+        assert protocol._session is None
+    finally:
+        _backend.set_backend(previous)
+    assert protocol.totals == oracle.totals
+    assert protocol.state._blocks == oracle.state._blocks
+    assert _predictor_table_state(protocol) == _predictor_table_state(
+        oracle
+    )

@@ -2,7 +2,7 @@
 
 ``REPRO_BACKEND=native`` on a machine without the compiled extension
 must warn once — with the build command — then fall back to the
-fastest Python tier (``auto`` stays silent by design).  Native-kernel
+``pure`` tier (``auto`` stays silent by design).  Native-kernel
 declines are counted per kernel and per reason so a native run that
 fell back mid-sweep is visible in ``ResultSet.perf`` rather than just
 slower.
@@ -32,14 +32,14 @@ def test_explicit_native_unbuilt_warns_once_with_build_hint(
 ):
     with pytest.warns(RuntimeWarning) as caught:
         resolved = _backend.resolve_env()
-    assert resolved in ("numpy", "pure")
+    assert resolved == "pure"
     assert len(caught) == 1
     message = str(caught[0].message)
     assert "python -m repro.kernels.build" in message
     # Warned once per process: a second resolve stays silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _backend.resolve_env() in ("numpy", "pure")
+        assert _backend.resolve_env() == "pure"
 
 
 def test_auto_with_unbuilt_native_stays_silent(
@@ -48,7 +48,7 @@ def test_auto_with_unbuilt_native_stays_silent(
     monkeypatch.setenv(_backend.BACKEND_ENV, "auto")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _backend.resolve_env() in ("numpy", "pure")
+        assert _backend.resolve_env() == "pure"
 
 
 def test_stale_native_extension_counts_as_unbuilt(monkeypatch):

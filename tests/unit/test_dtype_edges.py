@@ -136,10 +136,7 @@ def test_native_replay_accepts_wide_systems(label, n_nodes):
 
     proto_native = MulticastSnoopingProtocol(config, label)
     out_native = OutcomeColumns()
-    if label == "group":
-        accepted = native.group_replay(proto_native, trace, out_native)
-    else:
-        accepted = native.policy_replay(proto_native, trace, out_native)
+    accepted = native.replay(proto_native, trace, out_native)
     assert accepted  # inside the widened envelope: no decline
 
     proto_pure = MulticastSnoopingProtocol(config, label)
@@ -178,9 +175,7 @@ def test_native_kernels_decline_past_envelope():
     wide = SystemConfig(n_processors=129)
     proto = MulticastSnoopingProtocol(wide, "group")
     kernels.reset_decline_counts()
-    assert not native.group_replay(
-        proto, Trace(n_processors=129), out=None
-    )
+    assert not native.replay(proto, Trace(n_processors=129), out=None)
     assert kernels.decline_counts().get("group_replay:envelope") == 1
 
 
@@ -212,12 +207,12 @@ def test_native_group_replay_declines_overflowing_keys():
     trace.append_fields(4096, 0, 2, 1, 10)
     with _backend.use("pure"):
         pass  # ensure backend module is initialised
-    assert not native.group_replay(proto, trace, out=None)
+    assert not native.replay(proto, trace, out=None)
     assert table._entries == before  # untouched by the declined call
 
 
 # ----------------------------------------------------------------------
-# Baseline protocol modes of the native policy_replay kernel
+# Baseline protocol modes of the native replay kernel
 # ----------------------------------------------------------------------
 
 BASELINE_LABELS = ("directory", "broadcast-snooping")
@@ -277,7 +272,7 @@ def test_native_baseline_modes_match_record_oracle(label, n_nodes, model):
     out_oracle = _record_oracle(oracle, trace)
     proto = protocol(config)
     out = OutcomeColumns()
-    assert native.baseline_replay(proto, trace, out)
+    assert native.replay(proto, trace, out)
     assert proto.totals == oracle.totals
     assert proto.state._blocks == oracle.state._blocks
     assert out.latency_ns.tobytes() == out_oracle.latency_ns.tobytes()

@@ -636,10 +636,11 @@ class TestThreadedRunner:
     """``executor='threads'``: byte identity with serial everywhere.
 
     The thread pool shares one in-memory corpus and reassembles in
-    canonical job order, so on every registered backend — pure, numpy,
-    and the GIL-releasing native kernels — a threaded sweep must equal
-    the serial one down to the serialized JSON bytes, for every
-    protocol and predictor the spec expands to.
+    canonical job order, so on every registered backend — pure (with
+    the numpy accelerator off and on) and the GIL-releasing native
+    kernels — a threaded sweep must equal the serial one down to the
+    serialized JSON bytes, for every protocol and predictor the spec
+    expands to.
     """
 
     ALL_POLICIES = (
@@ -647,12 +648,18 @@ class TestThreadedRunner:
         "sticky-spatial",
     )
 
-    @pytest.fixture(params=("pure", "numpy", "native"))
+    @pytest.fixture(params=("pure-python", "pure", "native"))
     def unified_backend(self, request):
         from repro import kernels
         from repro.common import backend as _backend
+        from repro.trace import columns as trace_columns
 
         name = request.param
+        if name == "pure-python":  # the pure tier, numpy off
+            trace_columns.set_backend("python")
+            yield name
+            trace_columns.set_backend("auto")
+            return
         if name not in kernels.available_backends():
             pytest.skip(f"{name} backend unavailable on this machine")
         _backend.set_backend(name)

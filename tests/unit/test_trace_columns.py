@@ -123,7 +123,9 @@ class TestDestinationSetInterning:
 
 
 class TestDerivedColumnBackends:
-    """numpy-vectorized and pure-Python column builders agree exactly."""
+    """The column builders agree exactly with the numpy accelerator on
+    and off (``columns.set_backend("numpy"/"python")``, both under the
+    ``pure`` replay tier)."""
 
     @pytest.fixture
     def sample(self):
