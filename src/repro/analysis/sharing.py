@@ -10,9 +10,12 @@ miss count (3b).
 
 Both figures are computed by **column kernels** over the trace's
 cached key columns when numpy is available (bincount/unique-style
-histograms; see :func:`_required_counts_np` for the vectorized MOSI
-replay), falling back to the original record loops otherwise.  The
-record loops are kept public (``*_records``) as the equivalence
+histograms), falling back to the original record loops otherwise.
+The MOSI replay behind Figures 2 and 4 (:func:`_required_counts`)
+runs compiled under the native backend (``_native.required_counts``,
+a direct port of :meth:`GlobalCoherenceState.apply_fast`), with the
+numpy closed form (:func:`_required_counts_np`) as its one fallback.
+The record loops are kept public (``*_records``) as the equivalence
 oracles — the analysis-equivalence suite asserts the kernels match
 them exactly.
 """
@@ -23,6 +26,7 @@ import collections
 import dataclasses
 from typing import Dict, Optional
 
+from repro import kernels
 from repro.common.destset import popcount
 from repro.coherence.state import GlobalCoherenceState
 from repro.trace import columns as _columns
@@ -65,11 +69,20 @@ class SharingHistogram:
 # Vectorized MOSI replay (shared by Figures 2 and 4)
 # ----------------------------------------------------------------------
 def _required_counts_cached(np_, trace: Trace, block_size: int):
-    """Memoized :func:`_required_counts_np` (one replay per trace)."""
+    """Memoized :func:`_required_counts` (one replay per trace)."""
     return trace.memo(
         ("mosi_required", block_size),
-        lambda: _required_counts_np(np_, trace, block_size),
+        lambda: _required_counts(np_, trace, block_size),
     )
+
+
+def _required_counts(np_, trace: Trace, block_size: int):
+    """``(counts, getx_mask)``: the native replay, else the numpy one."""
+    counts = kernels.try_required_counts(trace, block_size)
+    if counts is None:
+        return _required_counts_np(np_, trace, block_size)
+    getx = np_.frombuffer(trace.accesses, dtype=np_.int8)
+    return np_.frombuffer(counts, dtype=np_.int64), getx == 1
 
 
 def _required_counts_np(np_, trace: Trace, block_size: int):
@@ -323,20 +336,33 @@ def degree_of_sharing(
     keys = np_.frombuffer(
         trace.block_keys(block_size), dtype=np_.int64
     )
-    requesters = np_.frombuffer(
-        trace.requesters, dtype=np_.int32
-    ).astype(np_.int64)
+    requesters = np_.frombuffer(trace.requesters, dtype=np_.int32)
     n_procs = trace.n_processors
-    # One sort of the (block, requester) pair keys yields everything:
-    # runs of equal block are the per-block miss counts, runs of equal
-    # pair collapse to the distinct touchers behind the degree.
-    pair = keys * n_procs + requesters
-    pair.sort()
-    new_pair = np_.empty(len(pair), dtype=bool)
+    # One sort of the (block, requester) pairs yields everything: runs
+    # of equal block are the per-block miss counts, runs of equal pair
+    # collapse to the distinct touchers behind the degree.  The pair
+    # packs into one int64 relative to the smallest key when the keys'
+    # span leaves room for it; past that a packed key would wrap, so
+    # the pairs are sorted as two keys instead.  Both stay: on a
+    # 2-core x86_64 host lexsort costs ~7 ms more per 100k-reference
+    # trace than the packed sort (~15% of a corpus_cold pass), and no
+    # collected trace needs it.
+    base = int(keys.min())
+    new_pair = np_.empty(len(keys), dtype=bool)
     new_pair[0] = True
-    new_pair[1:] = pair[1:] != pair[:-1]
-    block_sorted = pair // n_procs
-    new_block = np_.empty(len(pair), dtype=bool)
+    if (int(keys.max()) - base + 1) * n_procs < 1 << 63:
+        pair = (keys - base) * n_procs + requesters
+        pair.sort()
+        new_pair[1:] = pair[1:] != pair[:-1]
+        block_sorted = pair // n_procs
+    else:
+        order = np_.lexsort((requesters, keys))
+        block_sorted = keys[order]
+        requester_sorted = requesters[order]
+        new_pair[1:] = (block_sorted[1:] != block_sorted[:-1]) | (
+            requester_sorted[1:] != requester_sorted[:-1]
+        )
+    new_block = np_.empty(len(keys), dtype=bool)
     new_block[0] = True
     new_block[1:] = block_sorted[1:] != block_sorted[:-1]
     block_ids = np_.cumsum(new_block) - 1

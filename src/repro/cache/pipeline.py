@@ -8,8 +8,9 @@ protocol and record every L2 miss as a coherence-request trace record.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
+from repro import kernels
 from repro.common.params import SystemConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.reference import MemoryReference
@@ -53,12 +54,6 @@ class TraceCollector:
     def __init__(self, config: SystemConfig, name: str = ""):
         self._config = config
         self._name = name
-        self._hierarchies: List[CacheHierarchy] = [
-            CacheHierarchy(config) for _ in range(config.n_processors)
-        ]
-        self._global = GlobalCoherenceState(
-            config.n_processors, config.block_size
-        )
         self._trace = Trace(n_processors=config.n_processors, name=name)
         self._instructions: Dict[int, int] = {
             node: 0 for node in range(config.n_processors)
@@ -67,33 +62,48 @@ class TraceCollector:
             node: 0 for node in range(config.n_processors)
         }
         self._references = 0
-        # Native chunk-collector session (repro.kernels): created
-        # lazily on the first chunk; False = probed and unavailable.
-        self._kernel_session = None
+        self._hierarchies: Optional[List[CacheHierarchy]] = None
+        self._global: Optional[GlobalCoherenceState] = None
+        # The native session (repro.kernels) that holds the cache/MOSI
+        # state and instruction counters while it is set; None when
+        # the Python structures hold them, False when the geometry is
+        # outside the native envelope.  Readers call _materialise().
+        self._session = kernels.collector_session(self)
+        if not self._session:
+            self._build_state()
+
+    def _build_state(self) -> None:
+        config = self._config
+        self._hierarchies = [
+            CacheHierarchy(config) for _ in range(config.n_processors)
+        ]
+        self._global = GlobalCoherenceState(
+            config.n_processors, config.block_size
+        )
+
+    def _materialise(self) -> None:
+        # Build and sync the Python state before any Python-side API
+        # observes (or mutates) the cache/MOSI/counter structures.
+        session = self._session
+        if session:
+            session.materialise(self)
 
     # ------------------------------------------------------------------
     @property
     def global_state(self) -> GlobalCoherenceState:
         """The live global MOSI state (useful for inspection/tests)."""
-        self._flush_kernel()
+        self._materialise()
         return self._global
 
     def hierarchy(self, node: int) -> CacheHierarchy:
         """The cache hierarchy of processor ``node``."""
-        self._flush_kernel()
+        self._materialise()
         return self._hierarchies[node]
-
-    def _flush_kernel(self) -> None:
-        # Sync native session state back before any Python-side API
-        # observes (or mutates) the cache/MOSI/counter structures.
-        session = self._kernel_session
-        if session:
-            session.flush()
 
     # ------------------------------------------------------------------
     def process(self, reference: MemoryReference) -> bool:
         """Process one reference.  Returns True if it missed."""
-        self._flush_kernel()
+        self._materialise()
         node = reference.node
         if not 0 <= node < self._config.n_processors:
             raise ValueError(
@@ -147,18 +157,10 @@ class TraceCollector:
         length = len(nodes)
         if length == 0:
             return 0
-        session = self._kernel_session
-        if session is None:
-            from repro import kernels
-
-            session = kernels.collector_session(self)
-            self._kernel_session = session if session else False
-        if session:
-            n_miss = session.process_chunk(chunk)
-            if n_miss is not None:
-                return n_miss
-            # Envelope miss: the session flushed itself; fall through
-            # to the Python loop for this chunk.
+        n_miss = kernels.try_collect(self, chunk)
+        if n_miss is not None:
+            return n_miss
+        self._materialise()
         if min(nodes) < 0 or max(nodes) >= n_procs:
             raise ValueError(
                 f"chunk contains nodes outside [0, {n_procs})"
@@ -304,11 +306,18 @@ class TraceCollector:
         return len(out_blocks)
 
     def result(self) -> CollectionResult:
-        """The trace and counters accumulated so far."""
-        self._flush_kernel()
+        """The trace and counters accumulated so far.
+
+        Reads the instruction counters from a native session without
+        materialising the cache/MOSI state.
+        """
+        session = self._session
         return CollectionResult(
             trace=self._trace,
-            instructions=dict(self._instructions),
+            instructions=(
+                session.instructions() if session
+                else dict(self._instructions)
+            ),
             references=self._references,
         )
 

@@ -17,6 +17,20 @@ class SetAssociativeCache:
     """
 
     def __init__(self, size_bytes: int, associativity: int, block_size: int):
+        self._block_size = block_size
+        self._assoc = associativity
+        self._n_sets = self.set_count(size_bytes, associativity, block_size)
+        # Each set is an OrderedDict from block address to None; the
+        # first entry is least recently used.
+        self._sets: List[OrderedDict] = [
+            OrderedDict() for _ in range(self._n_sets)
+        ]
+
+    @staticmethod
+    def set_count(
+        size_bytes: int, associativity: int, block_size: int
+    ) -> int:
+        """The set count of this geometry; ValueError when invalid."""
         for name, value in (
             ("size_bytes", size_bytes),
             ("block_size", block_size),
@@ -30,14 +44,7 @@ class SetAssociativeCache:
             raise ValueError(
                 "size/block_size must be divisible by associativity"
             )
-        self._block_size = block_size
-        self._assoc = associativity
-        self._n_sets = n_blocks // associativity
-        # Each set is an OrderedDict from block address to None; the
-        # first entry is least recently used.
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self._n_sets)
-        ]
+        return n_blocks // associativity
 
     # ------------------------------------------------------------------
     @property

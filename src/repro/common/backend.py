@@ -55,7 +55,7 @@ BACKENDS: Tuple[str, ...] = ("pure", "native")
 
 #: The ``_native.ABI_VERSION`` this package's glue speaks.  An
 #: extension built from an older ``_native.c`` counts as unbuilt.
-NATIVE_ABI_VERSION = 6
+NATIVE_ABI_VERSION = 7
 
 _active: Optional[str] = None
 _warned_native_missing = False

@@ -114,9 +114,11 @@ QUICK_REFERENCES = 8_000
 #: compiled replay mode or kernel: the directory and broadcast-snooping
 #: protocol modes, the four multicast policy modes, accuracy scoring
 #: (the same replay with its scoring counters on), both timing passes,
-#: and the 64-node scaling entry (which exercises the two-word
-#: destination-mask envelope).
+#: the 64-node scaling entry (which exercises the two-word
+#: destination-mask envelope), and the cold path (native generator
+#: feeding the native collector).
 NATIVE_BENCH_ENTRIES = (
+    "trace_generation",
     "protocol_directory",
     "protocol_snooping",
     "protocol_multicast_group",

@@ -42,9 +42,23 @@ produce (replay state when it is materialised, see below).
   report is set the kernel also counts coverage, precision and the
   outcome classes of every prediction
   (:mod:`repro.analysis.accuracy`), so scored runs stay compiled;
+- ``generator`` — the chunked reference source
+  (:meth:`repro.workloads.genchunks.ChunkedReferenceSource.chunks`):
+  ``_native.Generator`` takes each region's ``batch_spec()``
+  constants and the Python-built selection and Zipf threshold tables
+  as int64 / float64 buffers, keeps every sampler's cursor state, and
+  fills each chunk's five columns as ``array('q')`` buffers, record by
+  record in position order (mirroring the ``sample_py`` samplers);
+  declines are tallied as ``generator``;
 - ``collector`` — the chunk-consuming cache/MOSI filter
-  (:meth:`repro.cache.pipeline.TraceCollector.process_chunk`),
-  session-based so cache state stays native across chunks;
+  (:meth:`repro.cache.pipeline.TraceCollector.process_chunk`) on a
+  ``_native.Collector`` session (see "Resident collector state"); it
+  reads int64 buffer columns in place and unboxes list columns;
+- ``sharing`` — ``_native.required_counts``, the omniscient MOSI
+  replay behind Figures 2 and 4 (a port of
+  :meth:`repro.coherence.state.GlobalCoherenceState.apply_fast` over
+  the kernel's int64 hash map), counting each request's required
+  recipients (:func:`repro.analysis.sharing._required_counts`);
 - ``timing_pass`` — the crossbar + simple-processor timing pass
   (the generic loop of
   :meth:`repro.timing.system.TimingSimulator._run_columns`);
@@ -75,6 +89,26 @@ gets ``ValueError``.  ``ReplaySession`` reports marshal / compute /
 write-back nanoseconds, tallied by :func:`record_phases` next to the
 decline tally.
 
+**Resident collector state.**  A :class:`~repro.cache.pipeline.
+TraceCollector` built under the native tier opens its
+``_native.Collector`` session from the config geometry alone: the
+cache sets, the MOSI map and the instruction counters start empty in
+C, and the 16 Python ``CacheHierarchy`` objects are never built unless
+something reads them.  ``result()`` reads the counters from the
+session and syncs nothing.  The readers that need the Python state —
+``hierarchy()``, ``global_state``, the record path ``process()`` and
+the Python chunk loop (a decline or a backend switch) — go through the
+collector's one ``_session`` attribute: ``materialise()`` builds the
+Python structures, syncs the native state into them and detaches.  A
+later chunk under the native tier reopens a session that adopts the
+Python state.
+
+**Hostile input.**  Every entry point above validates what it indexes
+— column dtypes (int64 buffers, or lists where accepted), matching
+column lengths, node and requester ranges, table offsets — and raises
+``ValueError`` after the GIL is reacquired, with the native state
+untouched; it never reads past a buffer.
+
 **Backends.**  ``pure`` is the scalar Python loops (with or without
 the numpy accelerator for derived columns, see
 :mod:`repro.common.backend`); ``native`` is the C extension
@@ -88,8 +122,8 @@ enforced by the equivalence suites and
 The ``try_*`` entry points below are the dispatch seam: they return
 ``False``/``None`` when the native tier is inactive
 (:func:`repro.common.backend.native_active`) or the call is outside
-the native kernel's envelope (>128 replay nodes / >62 collector
-nodes, nonzero race probability, non-power-of-two granularity,
+the native kernel's envelope (>128 replay or sharing nodes / >62
+collector nodes, constants beyond int64, nonzero race probability, non-power-of-two granularity,
 int64-overflowing keys), in which case the caller falls back to its
 scalar Python loop.  Those fallbacks are *counted*, not silent: each
 decline increments a per-kernel/per-reason counter
@@ -227,16 +261,58 @@ def try_timing_pass_detailed(simulator, measured, out) -> bool:
     return native.timing_pass_detailed(simulator, measured, out)
 
 
-def collector_session(collector) -> Optional[object]:
-    """A native chunk-collector session, or None to use the Python loop.
+def collector_session(collector):
+    """A native collector session for ``collector``; None when the
+    native tier is inactive, False when its geometry is outside the
+    envelope (a counted decline).
 
-    The session owns the cache/MOSI state while chunks stream through
-    it; the collector flushes it (syncing every Python-side structure
-    back to the exact values the Python loop would have produced)
-    before any record-level or inspection API touches that state.
+    The session holds the cache/MOSI state and instruction counters
+    while chunks stream through it, starting from the collector's
+    Python state when it has one (see "Resident collector state").
     """
     if not _backend.native_active():
         return None
     from repro.kernels import native
 
-    return native.make_collector_session(collector)
+    return native.make_collector_session(collector) or False
+
+
+def try_collect(collector, chunk) -> Optional[int]:
+    """Filter ``chunk`` natively; None -> caller runs its Python loop.
+
+    Opens a session when the collector has none (``_session is
+    None``) and the native tier is active.  A session that cannot take
+    the call (the backend switched away from native, or a decline)
+    materialises itself first, so the Python loop sees current state.
+    """
+    session = collector._session
+    if not _backend.native_active():
+        if session:
+            session.materialise(collector)
+        return None
+    if session is None:
+        session = collector._session = collector_session(collector)
+    if not session:
+        return None
+    return session.process_chunk(collector, chunk)
+
+
+def generator(source) -> Optional[object]:
+    """A native generator for a ``ChunkedReferenceSource``, or None
+    (the source then generates with numpy or pure Python)."""
+    if not _backend.native_active():
+        return None
+    from repro.kernels import native
+
+    return native.make_generator(source)
+
+
+def try_required_counts(trace, block_size: int) -> Optional[bytes]:
+    """The Figure 2/4 MOSI replay natively: per-record counts of other
+    processors that must observe each request, as int64 bytes; None ->
+    caller uses the numpy closed form."""
+    if not _backend.native_active():
+        return None
+    from repro.kernels import native
+
+    return native.required_counts(trace, block_size)

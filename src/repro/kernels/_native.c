@@ -18,7 +18,16 @@
  *                          simple (in-order blocking) processor model
  *   timing_pass_detailed — the same crossbar pass with the detailed
  *                          (bounded-outstanding-miss) processor model
- *   Collector            — mirror of TraceCollector.process_chunk
+ *   Collector            — mirror of TraceCollector.process_chunk; a
+ *                          new session holds a fresh collector's empty
+ *                          state, so Python builds none of its own
+ *   Generator            — the chunked reference source of
+ *                          repro.workloads.genchunks (the sample_py
+ *                          samplers, record by record in position
+ *                          order), filling five int64 column buffers
+ *   required_counts      — the omniscient MOSI replay behind Figures 2
+ *                          and 4 (GlobalCoherenceState.apply_fast),
+ *                          counting each request's required recipients
  *
  * The contract is byte identity with the Python loops: every integer
  * update, LRU stamp, eviction choice and IEEE-754 double operation is
@@ -27,9 +36,10 @@
  * equivalence suites are the oracle.
  *
  * Envelope: replay destination-set bitmasks are carried in two uint64
- * words, so ReplaySession accepts node counts <= 128; the chunk
- * collector keeps the original <= 62-node single-lane envelope (its
- * sharer masks live in one int64 map value).  Addresses/pcs are
+ * words, so ReplaySession and required_counts accept node counts
+ * <= 128; the chunk collector keeps the original <= 62-node
+ * single-lane envelope (its sharer masks live in one int64 map
+ * value).  Addresses/pcs are
  * non-negative (the trace container's documented invariant) and the
  * index granularity is a power of two (validated by PredictorConfig).
  * Callers in repro/kernels/native.py check the envelope and fall back
@@ -2510,10 +2520,14 @@ ncollector_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->executed = PyMem_RawCalloc((size_t)n_procs, sizeof(int64_t));
     self->at_last_miss = PyMem_RawCalloc((size_t)n_procs, sizeof(int64_t));
     if (!self->l1 || !self->l1_len || !self->l2 || !self->l2_len
-        || !self->executed || !self->at_last_miss) {
+        || !self->executed || !self->at_last_miss
+        || map_init(&self->mosi, 1024) < 0) {
         Py_DECREF(self);
         return PyErr_NoMemory();
     }
+    /* A new session holds the empty state of a fresh collector; load
+     * replaces it with a Python collector's state. */
+    self->loaded = 1;
     return (PyObject *)self;
 }
 
@@ -2535,6 +2549,7 @@ load_level(PyObject *raw, int n_procs, int64_t n_sets, int32_t assoc,
             Py_ssize_t sz = PyObject_Size(od);
             if (sz < 0)
                 return -1;
+            lens[(size_t)node * n_sets + s] = 0;
             if (sz == 0)
                 continue;
             if (sz > assoc)
@@ -2682,133 +2697,194 @@ missout_reserve(MissOut *o, Py_ssize_t cap)
     return 0;
 }
 
+/* One int64 chunk column for process_chunk: an int64 buffer read in
+ * place (the native generator's array('q') columns, a numpy column)
+ * or a list unboxed into owned scratch (the numpy and pure generator
+ * tiers, chunks_from_references). */
+typedef struct {
+    Py_buffer view; /* view.obj != NULL while the buffer is held */
+    const int64_t *data;
+    int64_t *owned;
+    Py_ssize_t len;
+} ChunkCol;
+
+static void
+chunkcol_release(ChunkCol *c)
+{
+    if (c->view.obj)
+        PyBuffer_Release(&c->view);
+    c->view.obj = NULL;
+    PyMem_RawFree(c->owned);
+    c->owned = NULL;
+}
+
+/* Acquire a C-contiguous buffer of 8-byte items in native byte order:
+ * int64 ("q"/"l") when code is 'q', float64 ("d") when code is 'd'.
+ * Returns 0, or -1 with ValueError set and nothing held. */
+static int
+get_buffer8(PyObject *obj, Py_buffer *view, int flags, char code,
+            const char *name)
+{
+    const char *kind = code == 'd' ? "float64" : "int64";
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS
+                                          | PyBUF_FORMAT) < 0) {
+        view->obj = NULL;
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError,
+                     "%s must be a C-contiguous%s %s buffer", name,
+                     (flags & PyBUF_WRITABLE) ? " writable" : "", kind);
+        return -1;
+    }
+    const char *fmt = view->format ? view->format : "B";
+    if (*fmt == '@' || *fmt == '=')
+        fmt++;
+    int ok = view->itemsize == 8 && fmt[0] != '\0' && fmt[1] == '\0'
+             && (code == 'd' ? fmt[0] == 'd'
+                             : (fmt[0] == 'q' || fmt[0] == 'l'));
+    if (!ok) {
+        PyBuffer_Release(view);
+        view->obj = NULL;
+        PyErr_Format(PyExc_ValueError, "%s must be a %s buffer", name,
+                     kind);
+        return -1;
+    }
+    return 0;
+}
+
+/* Open one column; length < 0 accepts any length (the nodes column
+ * sets it).  Returns 0, 1 (outside the envelope: neither a list nor
+ * a buffer, or a list item beyond int64 -- the caller declines), or
+ * -1 with ValueError set (a buffer that is not int64, or a length
+ * that differs from the nodes column).  Nothing is held on failure. */
+static int
+chunkcol_open(ChunkCol *c, PyObject *obj, Py_ssize_t length,
+              const char *name)
+{
+    memset(c, 0, sizeof(*c));
+    Py_ssize_t n;
+    if (PyList_CheckExact(obj)) {
+        n = PyList_GET_SIZE(obj);
+        if (length >= 0 && n != length)
+            goto bad_length;
+        c->owned = PyMem_RawMalloc((size_t)(n ? n : 1) * sizeof(int64_t));
+        if (!c->owned) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int of = 0;
+            c->owned[i] = as_i64(PyList_GET_ITEM(obj, i), &of);
+            if (of) {
+                chunkcol_release(c);
+                return 1;
+            }
+        }
+        c->data = c->owned;
+        c->len = n;
+        return 0;
+    }
+    if (!PyObject_CheckBuffer(obj))
+        return 1;
+    if (get_buffer8(obj, &c->view, PyBUF_SIMPLE, 'q', name) < 0)
+        return -1;
+    n = c->view.len / (Py_ssize_t)sizeof(int64_t);
+    if (length >= 0 && n != length) {
+        chunkcol_release(c);
+        goto bad_length;
+    }
+    c->data = c->view.buf;
+    c->len = n;
+    return 0;
+bad_length:
+    PyErr_Format(PyExc_ValueError,
+                 "chunk column %s has %zd rows, nodes has %zd", name, n,
+                 length);
+    return -1;
+}
+
+#define COL_NODE 0
+#define COL_ADDR 1
+#define COL_PC 2
+#define COL_WRITE 3
+#define COL_GAP 4
+#define CHUNK_BAD_NODE 1
+#define CHUNK_BAD_ADDR 2
+#define CHUNK_OOM 3
+
 static PyObject *
 ncollector_process_chunk(NCollector *self, PyObject *args)
 {
-    PyObject *nodes_l, *addrs_obj, *pcs_l, *writes_l, *gaps_l;
-    if (!PyArg_ParseTuple(args, "OOOOO", &nodes_l, &addrs_obj, &pcs_l,
-                          &writes_l, &gaps_l))
+    static const char *names[5] = {"nodes", "addresses", "pcs", "writes",
+                                   "instructions"};
+    PyObject *objs[5];
+    if (!PyArg_ParseTuple(args, "OOOOO", &objs[0], &objs[1], &objs[2],
+                          &objs[3], &objs[4]))
         return NULL;
     if (!self->loaded) {
         PyErr_SetString(PyExc_RuntimeError, "Collector: load() first");
         return NULL;
     }
-    if (!PyList_CheckExact(nodes_l) || !PyList_CheckExact(pcs_l)
-        || !PyList_CheckExact(writes_l) || !PyList_CheckExact(gaps_l))
-        Py_RETURN_NONE; /* envelope: caller uses the Python loop */
-    Py_ssize_t length = PyList_GET_SIZE(nodes_l);
-    if (PyList_GET_SIZE(pcs_l) != length
-        || PyList_GET_SIZE(writes_l) != length
-        || PyList_GET_SIZE(gaps_l) != length)
-        Py_RETURN_NONE;
 
-    /* Addresses: an int64 buffer (numpy chunk column) or a list. */
-    Py_buffer addr_buf;
-    const int64_t *addr_arr = NULL;
-    PyObject *addr_list = NULL;
-    addr_buf.buf = NULL;
-    if (PyObject_CheckBuffer(addrs_obj)
-        && PyObject_GetBuffer(addrs_obj, &addr_buf, PyBUF_CONTIG_RO) == 0) {
-        if (addr_buf.len == length * (Py_ssize_t)sizeof(int64_t)
-            && addr_buf.itemsize == (Py_ssize_t)sizeof(int64_t)) {
-            addr_arr = addr_buf.buf;
-        }
-        else {
-            PyBuffer_Release(&addr_buf);
-            addr_buf.buf = NULL;
-        }
+    /* Marshal (GIL held): hold each column's buffer, or unbox its
+     * list, so the compute phase reads plain int64 arrays. */
+    ChunkCol cols[5];
+    Py_ssize_t length = -1;
+    int opened = 0, rc = 0;
+    for (; opened < 5; opened++) {
+        rc = chunkcol_open(&cols[opened], objs[opened], length,
+                           names[opened]);
+        if (rc)
+            break;
+        if (opened == COL_NODE)
+            length = cols[COL_NODE].len;
     }
-    else {
-        PyErr_Clear();
+    if (rc) {
+        for (int k = 0; k < opened; k++)
+            chunkcol_release(&cols[k]);
+        if (rc > 0)
+            Py_RETURN_NONE; /* envelope: caller uses the Python loop */
+        return NULL;
     }
-    if (!addr_arr) {
-        if (!PyList_CheckExact(addrs_obj)
-            || PyList_GET_SIZE(addrs_obj) != length)
-            Py_RETURN_NONE;
-        addr_list = addrs_obj;
-    }
+    const int64_t *m_node = cols[COL_NODE].data;
+    const int64_t *m_addr = cols[COL_ADDR].data;
+    const int64_t *m_pc = cols[COL_PC].data;
+    const int64_t *m_write = cols[COL_WRITE].data;
+    const int64_t *m_gap = cols[COL_GAP].data;
 
-#define RELEASE_ADDR()                                                     \
-    do {                                                                   \
-        if (addr_buf.buf)                                                  \
-            PyBuffer_Release(&addr_buf);                                   \
-    } while (0)
-
-    /* Marshal (GIL held): flatten every chunk column into C arrays,
-     * mirroring the Python loop's node-range pre-check and pulling the
-     * int64-envelope validation forward so the compute loop below can
-     * run with the GIL released. */
     const int n_procs = self->n_procs;
-    int64_t *m_cols = PyMem_RawMalloc(
-        (size_t)(length ? length : 1) * 5 * sizeof(int64_t));
-    if (!m_cols) {
-        RELEASE_ADDR();
-        return PyErr_NoMemory();
-    }
-    int64_t *m_node = m_cols;
-    int64_t *m_gap = m_cols + length;
-    int64_t *m_pc = m_cols + 2 * length;
-    int64_t *m_write = m_cols + 3 * length;
-    int64_t *m_addr = m_cols + 4 * length;
-    for (Py_ssize_t i = 0; i < length; i++) {
-        int of = 0;
-        int64_t node = as_i64(PyList_GET_ITEM(nodes_l, i), &of);
-        if (of || node < 0 || node >= n_procs) {
-            PyMem_RawFree(m_cols);
-            RELEASE_ADDR();
-            if (!of) {
-                PyErr_Format(PyExc_ValueError,
-                             "chunk contains nodes outside [0, %d)",
-                             n_procs);
-                return NULL;
-            }
-            Py_RETURN_NONE;
-        }
-        m_node[i] = node;
-        m_gap[i] = as_i64(PyList_GET_ITEM(gaps_l, i), &of);
-        m_pc[i] = as_i64(PyList_GET_ITEM(pcs_l, i), &of);
-        m_write[i] = as_i64(PyList_GET_ITEM(writes_l, i), &of);
-        m_addr[i] = addr_arr
-                        ? addr_arr[i]
-                        : as_i64(PyList_GET_ITEM(addr_list, i), &of);
-        if (of || m_addr[i] < 0) {
-            /* Outside the envelope mid-chunk cannot happen for real
-             * generator output; bail out loudly rather than guessing. */
-            PyMem_RawFree(m_cols);
-            RELEASE_ADDR();
-            PyErr_SetString(PyExc_OverflowError,
-                            "Collector: value outside int64 envelope");
-            return NULL;
-        }
-    }
-    /* Every column is copied; drop the address view before compute. */
-    RELEASE_ADDR();
-    addr_buf.buf = NULL;
-
-    MissOut out;
-    memset(&out, 0, sizeof(out));
-    if (missout_reserve(&out, length > 16 ? length / 4 : 16) < 0) {
-        PyMem_RawFree(m_cols);
-        return PyErr_NoMemory();
-    }
-
     const int64_t block_mask = self->block_mask;
     const int block_shift = self->block_shift;
     const int64_t n1 = self->n1, n2 = self->n2;
     const int32_t a1 = self->a1, a2 = self->a2;
     PyObject *result = NULL;
-    int oom = 0;
+    int fault = 0;
+    MissOut out;
+    memset(&out, 0, sizeof(out));
 
     Py_BEGIN_ALLOW_THREADS
+    /* Validate every row before touching any state, so a bad row
+     * leaves the session exactly as it was. */
+    for (Py_ssize_t i = 0; i < length; i++) {
+        if (m_node[i] < 0 || m_node[i] >= n_procs) {
+            fault = CHUNK_BAD_NODE;
+            goto chunk_halt;
+        }
+        if (m_addr[i] < 0) {
+            fault = CHUNK_BAD_ADDR;
+            goto chunk_halt;
+        }
+    }
+    if (missout_reserve(&out, length > 64 ? length / 4 : 16) < 0) {
+        fault = CHUNK_OOM;
+        goto chunk_halt;
+    }
     for (Py_ssize_t i = 0; i < length; i++) {
         const int64_t node = m_node[i];
-        const int64_t gap = m_gap[i];
         const int64_t pc = m_pc[i];
         const int64_t is_write = m_write[i];
-        const int64_t address = m_addr[i];
 
-        self->executed[node] += gap;
-        int64_t block = address & block_mask;
+        self->executed[node] += m_gap[i];
+        int64_t block = m_addr[i] & block_mask;
         int64_t s1 = (block >> block_shift) % n1;
         int64_t s2 = (block >> block_shift) % n2;
 
@@ -2857,7 +2933,7 @@ ncollector_process_chunk(NCollector *self, PyObject *args)
         int64_t done_instr = self->executed[node];
         if (out.len >= out.cap
             && missout_reserve(&out, out.cap * 2) < 0) {
-            oom = 1;
+            fault = CHUNK_OOM;
             goto chunk_halt;
         }
         out.gap[out.len] = done_instr - self->at_last_miss[node];
@@ -2870,14 +2946,14 @@ ncollector_process_chunk(NCollector *self, PyObject *args)
         if (is_write) {
             required |= sharers & ~((uint64_t)1 << node);
             if (map_put(&self->mosi, block, node, 0) < 0) {
-                oom = 1;
+                fault = CHUNK_OOM;
                 goto chunk_halt;
             }
         }
         else if (owner != node) {
             if (map_put(&self->mosi, block, owner,
                         (int64_t)(sharers | ((uint64_t)1 << node))) < 0) {
-                oom = 1;
+                fault = CHUNK_OOM;
                 goto chunk_halt;
             }
         }
@@ -2948,7 +3024,19 @@ ncollector_process_chunk(NCollector *self, PyObject *args)
     }
 chunk_halt:;
     Py_END_ALLOW_THREADS
-    if (oom) {
+    for (int k = 0; k < 5; k++)
+        chunkcol_release(&cols[k]);
+    if (fault == CHUNK_BAD_NODE) {
+        PyErr_Format(PyExc_ValueError,
+                     "chunk contains nodes outside [0, %d)", n_procs);
+        goto done;
+    }
+    if (fault == CHUNK_BAD_ADDR) {
+        PyErr_SetString(PyExc_ValueError,
+                        "chunk contains negative addresses");
+        goto done;
+    }
+    if (fault == CHUNK_OOM) {
         PyErr_NoMemory();
         goto done;
     }
@@ -2962,8 +3050,6 @@ chunk_halt:;
         out.len * (Py_ssize_t)sizeof(int64_t));
 
 done:
-#undef RELEASE_ADDR
-    PyMem_RawFree(m_cols);
     PyMem_RawFree(out.addr);
     PyMem_RawFree(out.pc);
     PyMem_RawFree(out.node);
@@ -3053,11 +3139,31 @@ ncollector_sync(NCollector *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+static PyObject *
+ncollector_instructions(NCollector *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *counts = PyList_New(self->n_procs);
+    if (!counts)
+        return NULL;
+    for (int node = 0; node < self->n_procs; node++) {
+        PyObject *v = PyLong_FromLongLong((long long)self->executed[node]);
+        if (!v) {
+            Py_DECREF(counts);
+            return NULL;
+        }
+        PyList_SET_ITEM(counts, node, v);
+    }
+    return counts;
+}
+
 static PyMethodDef ncollector_methods[] = {
+    {"instructions", (PyCFunction)ncollector_instructions, METH_NOARGS,
+     "Per-node executed-instruction counters (no state is synced)."},
     {"load", (PyCFunction)ncollector_load, METH_VARARGS,
      "Adopt the Python-side cache/MOSI/counter state."},
     {"process_chunk", (PyCFunction)ncollector_process_chunk, METH_VARARGS,
-     "Filter one reference chunk; returns (n_miss, 5 column bytes)."},
+     "Filter one chunk of five int64 columns (buffers or lists); "
+     "returns (n_miss, 5 column bytes)."},
     {"sync", (PyCFunction)ncollector_sync, METH_VARARGS,
      "Write native state back into the Python-side structures."},
     {NULL, NULL, 0, NULL},
@@ -3074,8 +3180,575 @@ static PyTypeObject NCollectorType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Generator: the chunked reference source of                          */
+/* repro.workloads.genchunks, record by record in position order.      */
+/* ------------------------------------------------------------------ */
+/* Each position draws its node's region from the per-node selection
+ * tables, then that region's sampler -- which keeps its own access
+ * counter, so walking positions in order replays exactly the draws
+ * the samplers' sample_py make over each region's positions.  Every
+ * threshold and Zipf table arrives as float64 built in Python; the
+ * only floating point here is (double)u53 * 2^-53 (exact) and table
+ * comparisons, so no libm result can differ from the Python tiers. */
+
+#define GEN_PRIVATE 0
+#define GEN_MIGRATORY 1
+#define GEN_PRODUCER_CONSUMER 2
+#define GEN_READ_MOSTLY 3
+
+#define ZIPF_UNIFORM 0 /* u53 % n_blocks */
+#define ZIPF_TABLE 1   /* bisect_right over the region's table */
+#define ZIPF_ZERO 2    /* a one-block table: always block 0 */
+
+/* Per-region int64 constants, in the order repro/kernels/native.py
+ * packs them (GENERATOR_REGION_FIELDS there). */
+enum {
+    RF_KIND,
+    RF_BASE,
+    RF_N_BLOCKS,
+    RF_BLOCK_SIZE,
+    RF_K0,
+    RF_K1,
+    RF_K2,
+    RF_K3,
+    RF_T_STREAM,
+    RF_T_WRITE,
+    RF_ZIPF_MODE,
+    RF_ZIPF_OFFSET,
+    RF_ZIPF_LEN,
+    RF_PRODUCER,
+    RF_SITE0, /* eight site pcs: pc_base + (s % n_pc_sites) * stride */
+    RF_FIELDS = RF_SITE0 + 8
+};
+
+/* Per-region mutable state. */
+enum {
+    RS_COUNTER,   /* the sampler's access counter (draw index) */
+    RS_CURSOR,    /* private streaming cursor / producer write cursor */
+    RS_LAST_NODE, /* migratory run state */
+    RS_LAST_WRITE,
+    RS_LAST_ADDR,
+    RS_FIELDS
+};
+
+#define GEN_GOLDEN 0x9E3779B97F4A7C15ull
+
+/* genchunks._draws53_py: the 53-bit splitmix64 draw at index j. */
+static inline uint64_t
+draw53(uint64_t key, uint64_t j)
+{
+    uint64_t z = key + (j + 1) * GEN_GOLDEN;
+    z ^= z >> 30;
+    z *= 0xBF58476D1CE4E5B9ull;
+    z ^= z >> 27;
+    z *= 0x94D049BB133111EBull;
+    z ^= z >> 31;
+    return z >> 11;
+}
+
+/* bisect.bisect_right over float64 thresholds. */
+static inline int64_t
+bisect_right_f64(const double *a, int64_t n, double x)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (x < a[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+typedef struct {
+    PyObject_HEAD
+    int64_t n_procs;
+    uint64_t key_select, key_gap;
+    int64_t gap_lo, gap_span;
+    int64_t n_regions;
+    int64_t *node_off; /* n_procs + 1 offsets into sel */
+    double *sel;       /* per-node selection thresholds */
+    int64_t *sel_ids;  /* node k's region ids start at node_off[k] + k */
+    int64_t *regions;  /* n_regions * RF_FIELDS */
+    double *zipf;      /* every region's Zipf table, concatenated */
+    int64_t *consumer_pc; /* n_regions * n_procs; -1: not a consumer */
+    int64_t *state;       /* n_regions * RS_FIELDS */
+    int64_t *read_cursor; /* n_regions * n_procs */
+    int busy;
+} NGenerator;
+
+static void
+ngenerator_dealloc(NGenerator *self)
+{
+    PyMem_RawFree(self->node_off);
+    PyMem_RawFree(self->sel);
+    PyMem_RawFree(self->sel_ids);
+    PyMem_RawFree(self->regions);
+    PyMem_RawFree(self->zipf);
+    PyMem_RawFree(self->consumer_pc);
+    PyMem_RawFree(self->state);
+    PyMem_RawFree(self->read_cursor);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Copy a C-contiguous buffer of 8-byte items with format code `code`
+ * ('q' for int64, 'd' for float64) into fresh raw memory.  Returns the
+ * copy (item count in *count), or NULL with ValueError/MemoryError. */
+static void *
+copy_buffer8(PyObject *obj, char code, const char *name, Py_ssize_t *count)
+{
+    Py_buffer view;
+    if (get_buffer8(obj, &view, PyBUF_SIMPLE, code, name) < 0)
+        return NULL;
+    *count = view.len / 8;
+    void *copy = PyMem_RawMalloc(view.len ? (size_t)view.len : 8);
+    if (!copy)
+        PyErr_NoMemory();
+    else if (view.len)
+        memcpy(copy, view.buf, (size_t)view.len);
+    PyBuffer_Release(&view);
+    return copy;
+}
+
+#define GEN_FAIL(msg)                                                      \
+    do {                                                                   \
+        PyErr_SetString(PyExc_ValueError, "Generator: " msg);              \
+        goto fail;                                                         \
+    } while (0)
+
+static PyObject *
+ngenerator_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    long long n_procs, gap_lo, gap_span;
+    unsigned long long key_select, key_gap;
+    PyObject *off_obj, *sel_obj, *ids_obj, *regions_obj, *zipf_obj,
+        *cpc_obj;
+    if (!PyArg_ParseTuple(args, "LKKLLOOOOOO", &n_procs, &key_select,
+                          &key_gap, &gap_lo, &gap_span, &off_obj, &sel_obj,
+                          &ids_obj, &regions_obj, &zipf_obj, &cpc_obj))
+        return NULL;
+    if (n_procs <= 0 || n_procs > ((int64_t)1 << 20) || gap_span <= 0
+        || gap_lo < 0 || gap_lo > INT64_MAX - gap_span) {
+        PyErr_SetString(PyExc_ValueError, "Generator: bad scalars");
+        return NULL;
+    }
+    NGenerator *self = (NGenerator *)type->tp_alloc(type, 0);
+    if (!self)
+        return NULL;
+    self->n_procs = n_procs;
+    self->key_select = key_select;
+    self->key_gap = key_gap;
+    self->gap_lo = gap_lo;
+    self->gap_span = gap_span;
+
+    Py_ssize_t n_off, n_sel, n_ids, n_fields, n_zipf, n_cpc;
+    self->node_off = copy_buffer8(off_obj, 'q', "node_offsets", &n_off);
+    if (!self->node_off)
+        goto fail;
+    self->sel = copy_buffer8(sel_obj, 'd', "node_thresholds", &n_sel);
+    if (!self->sel)
+        goto fail;
+    self->sel_ids = copy_buffer8(ids_obj, 'q', "node_region_ids", &n_ids);
+    if (!self->sel_ids)
+        goto fail;
+    self->regions = copy_buffer8(regions_obj, 'q', "regions", &n_fields);
+    if (!self->regions)
+        goto fail;
+    self->zipf = copy_buffer8(zipf_obj, 'd', "zipf_tables", &n_zipf);
+    if (!self->zipf)
+        goto fail;
+    self->consumer_pc = copy_buffer8(cpc_obj, 'q', "consumer_pcs", &n_cpc);
+    if (!self->consumer_pc)
+        goto fail;
+
+    if (n_fields == 0 || n_fields % RF_FIELDS)
+        GEN_FAIL("regions is not a whole number of region records");
+    const int64_t n_regions = n_fields / RF_FIELDS;
+    self->n_regions = n_regions;
+    if (n_cpc != n_regions * n_procs)
+        GEN_FAIL("consumer_pcs must hold n_regions * n_procs entries");
+    if (n_off != n_procs + 1 || self->node_off[0] != 0
+        || self->node_off[n_procs] != n_sel || n_ids != n_sel + n_procs)
+        GEN_FAIL("node table offsets do not match the tables");
+    for (int64_t k = 0; k < n_procs; k++)
+        if (self->node_off[k + 1] < self->node_off[k])
+            GEN_FAIL("node table offsets must be non-decreasing");
+    for (Py_ssize_t i = 0; i < n_ids; i++)
+        if (self->sel_ids[i] < 0 || self->sel_ids[i] >= n_regions)
+            GEN_FAIL("a node table names a region outside the model");
+
+    for (int64_t r = 0; r < n_regions; r++) {
+        const int64_t *f = self->regions + r * RF_FIELDS;
+        int64_t top;
+        if (f[RF_KIND] < GEN_PRIVATE || f[RF_KIND] > GEN_READ_MOSTLY)
+            GEN_FAIL("unknown region kind");
+        if (f[RF_N_BLOCKS] <= 0 || f[RF_BLOCK_SIZE] < 0 || f[RF_BASE] < 0)
+            GEN_FAIL("region geometry out of range");
+        if (__builtin_mul_overflow(f[RF_N_BLOCKS] - 1, f[RF_BLOCK_SIZE],
+                                   &top)
+            || __builtin_add_overflow(top, f[RF_BASE], &top))
+            GEN_FAIL("region addresses overflow int64");
+        for (int t = RF_T_STREAM; t <= RF_T_WRITE; t++)
+            if (f[t] < 0 || f[t] > ((int64_t)1 << 53))
+                GEN_FAIL("fraction threshold outside [0, 2^53]");
+        switch (f[RF_ZIPF_MODE]) {
+        case ZIPF_UNIFORM:
+        case ZIPF_ZERO:
+            break;
+        case ZIPF_TABLE:
+            if (f[RF_ZIPF_OFFSET] < 0 || f[RF_ZIPF_LEN] <= 0
+                || f[RF_ZIPF_LEN] >= f[RF_N_BLOCKS]
+                || f[RF_ZIPF_OFFSET] > n_zipf - f[RF_ZIPF_LEN])
+                GEN_FAIL("Zipf table slice out of range");
+            break;
+        default:
+            GEN_FAIL("unknown Zipf mode");
+        }
+        if (f[RF_KIND] == GEN_PRODUCER_CONSUMER
+            && (f[RF_PRODUCER] < 0 || f[RF_PRODUCER] >= n_procs))
+            GEN_FAIL("producer node outside [0, n_procs)");
+    }
+    /* Every node that can select a producer/consumer region must be
+     * its producer or one of its consumers. */
+    for (int64_t k = 0; k < n_procs; k++) {
+        const int64_t *ids = self->sel_ids + self->node_off[k] + k;
+        int64_t n_choices = self->node_off[k + 1] - self->node_off[k] + 1;
+        for (int64_t c = 0; c < n_choices; c++) {
+            const int64_t *f = self->regions + ids[c] * RF_FIELDS;
+            if (f[RF_KIND] == GEN_PRODUCER_CONSUMER && k != f[RF_PRODUCER]
+                && self->consumer_pc[ids[c] * n_procs + k] < 0)
+                GEN_FAIL("a node selects a producer/consumer region it "
+                         "is not a member of");
+        }
+    }
+
+    self->state = PyMem_RawCalloc((size_t)n_regions * RS_FIELDS,
+                                  sizeof(int64_t));
+    self->read_cursor =
+        PyMem_RawCalloc((size_t)(n_regions * n_procs), sizeof(int64_t));
+    if (!self->state || !self->read_cursor) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (int64_t r = 0; r < n_regions; r++)
+        self->state[r * RS_FIELDS + RS_LAST_NODE] = -1;
+    return (PyObject *)self;
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+#undef GEN_FAIL
+
+static inline int64_t
+gen_zipf(const NGenerator *g, const int64_t *f, uint64_t u53)
+{
+    switch (f[RF_ZIPF_MODE]) {
+    case ZIPF_UNIFORM:
+        return (int64_t)(u53 % (uint64_t)f[RF_N_BLOCKS]);
+    case ZIPF_TABLE:
+        return bisect_right_f64(g->zipf + f[RF_ZIPF_OFFSET], f[RF_ZIPF_LEN],
+                                (double)u53 * 0x1p-53);
+    default:
+        return 0;
+    }
+}
+
+/* Fill positions [start, start + m) of the stream into five int64
+ * columns (nodes, addresses, pcs, writes, instructions). */
+static void
+gen_fill(NGenerator *g, int64_t start, Py_ssize_t m, int64_t *nodes,
+         int64_t *addrs, int64_t *pcs, int64_t *writes, int64_t *gaps)
+{
+    const int64_t n_procs = g->n_procs;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        const uint64_t p = (uint64_t)start + (uint64_t)i;
+        const int64_t node = (int64_t)(p % (uint64_t)n_procs);
+        const double u = (double)draw53(g->key_select, p) * 0x1p-53;
+        const int64_t lo = g->node_off[node];
+        const int64_t local =
+            bisect_right_f64(g->sel + lo, g->node_off[node + 1] - lo, u);
+        const int64_t r = g->sel_ids[lo + node + local];
+        const int64_t *f = g->regions + r * RF_FIELDS;
+        int64_t *st = g->state + r * RS_FIELDS;
+        const int64_t nb = f[RF_N_BLOCKS];
+        const uint64_t j = (uint64_t)st[RS_COUNTER]++;
+        int64_t block, write, pc;
+
+        switch (f[RF_KIND]) {
+        case GEN_PRIVATE: {
+            int64_t cursor = st[RS_CURSOR];
+            if (draw53((uint64_t)f[RF_K0], j) < (uint64_t)f[RF_T_STREAM]) {
+                block = cursor;
+                cursor = (cursor + 1) % nb;
+                st[RS_CURSOR] = cursor;
+            }
+            else {
+                block = gen_zipf(g, f, draw53((uint64_t)f[RF_K1], j));
+            }
+            write = draw53((uint64_t)f[RF_K2], j) < (uint64_t)f[RF_T_WRITE];
+            int site = (write ? 0 : 1)
+                       + (int)(draw53((uint64_t)f[RF_K3], j) & 1) * 4;
+            if (block == cursor)
+                site += 2;
+            pc = f[RF_SITE0 + site];
+            addrs[i] = f[RF_BASE] + block * f[RF_BLOCK_SIZE];
+            break;
+        }
+        case GEN_MIGRATORY:
+            if (node == st[RS_LAST_NODE] && !st[RS_LAST_WRITE]) {
+                addrs[i] = st[RS_LAST_ADDR];
+                write = 1;
+                pc = f[RF_SITE0 + 1];
+            }
+            else {
+                block = gen_zipf(g, f, draw53((uint64_t)f[RF_K1], j));
+                addrs[i] = f[RF_BASE] + block * f[RF_BLOCK_SIZE];
+                write = 0;
+                pc = f[RF_SITE0];
+            }
+            st[RS_LAST_WRITE] = write;
+            st[RS_LAST_NODE] = node;
+            st[RS_LAST_ADDR] = addrs[i];
+            break;
+        case GEN_PRODUCER_CONSUMER:
+            if (node == f[RF_PRODUCER]) {
+                block = st[RS_CURSOR];
+                st[RS_CURSOR] = (block + 1) % nb;
+                write = 1;
+                pc = f[RF_SITE0];
+            }
+            else {
+                int64_t *cursor = g->read_cursor + r * n_procs + node;
+                block = *cursor;
+                if (block == st[RS_CURSOR])
+                    block = (st[RS_CURSOR] + nb - 1) % nb;
+                *cursor = (block + 1) % nb;
+                write = 0;
+                pc = g->consumer_pc[r * n_procs + node];
+            }
+            addrs[i] = f[RF_BASE] + block * f[RF_BLOCK_SIZE];
+            break;
+        default: /* GEN_READ_MOSTLY */
+            block = gen_zipf(g, f, draw53((uint64_t)f[RF_K1], j));
+            addrs[i] = f[RF_BASE] + block * f[RF_BLOCK_SIZE];
+            write = draw53((uint64_t)f[RF_K2], j) < (uint64_t)f[RF_T_WRITE];
+            pc = write ? f[RF_SITE0] : f[RF_SITE0 + 1 + block % 3];
+            break;
+        }
+        nodes[i] = node;
+        pcs[i] = pc;
+        writes[i] = write;
+        gaps[i] = g->gap_lo
+                  + (int64_t)(draw53(g->key_gap, p) % (uint64_t)g->gap_span);
+    }
+}
+
+static PyObject *
+ngenerator_fill(NGenerator *self, PyObject *args)
+{
+    static const char *names[5] = {"nodes", "addresses", "pcs", "writes",
+                                   "instructions"};
+    long long start;
+    PyObject *objs[5];
+    if (!PyArg_ParseTuple(args, "LOOOOO", &start, &objs[0], &objs[1],
+                          &objs[2], &objs[3], &objs[4]))
+        return NULL;
+    if (start < 0) {
+        PyErr_SetString(PyExc_ValueError, "Generator: negative start");
+        return NULL;
+    }
+    Py_buffer views[5];
+    int held = 0;
+    Py_ssize_t m = 0;
+    for (; held < 5; held++) {
+        if (get_buffer8(objs[held], &views[held], PyBUF_WRITABLE, 'q',
+                        names[held]) < 0)
+            goto release;
+        Py_ssize_t rows = views[held].len / (Py_ssize_t)sizeof(int64_t);
+        if (held == 0) {
+            m = rows;
+        }
+        else if (rows != m) {
+            PyErr_Format(PyExc_ValueError,
+                         "Generator: column %s has %zd rows, nodes has %zd",
+                         names[held], rows, m);
+            held++;
+            goto release;
+        }
+    }
+    if (start > INT64_MAX - m) {
+        PyErr_SetString(PyExc_ValueError, "Generator: position overflow");
+        goto release;
+    }
+    if (self->busy) {
+        PyErr_SetString(PyExc_ValueError,
+                        "Generator: another fill is in flight");
+        goto release;
+    }
+    self->busy = 1;
+    Py_BEGIN_ALLOW_THREADS
+    gen_fill(self, (int64_t)start, m, views[0].buf, views[1].buf,
+             views[2].buf, views[3].buf, views[4].buf);
+    Py_END_ALLOW_THREADS
+    self->busy = 0;
+release:
+    for (int k = 0; k < held; k++)
+        PyBuffer_Release(&views[k]);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyLong_FromSsize_t(m);
+}
+
+static PyMethodDef ngenerator_methods[] = {
+    {"fill", (PyCFunction)ngenerator_fill, METH_VARARGS,
+     "fill(start, nodes, addresses, pcs, writes, instructions): write "
+     "the stream's next len(nodes) references into five int64 buffers."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject NGeneratorType = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro.kernels._native.Generator",
+    .tp_basicsize = sizeof(NGenerator),
+    .tp_dealloc = (destructor)ngenerator_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Native chunked reference source (genchunks samplers).",
+    .tp_methods = ngenerator_methods,
+    .tp_new = ngenerator_new,
+};
+
+/* ------------------------------------------------------------------ */
+/* required_counts: the omniscient MOSI replay behind Figures 2 and 4  */
+/* (GlobalCoherenceState.apply_fast), counting required recipients.    */
+/* ------------------------------------------------------------------ */
+
+#define RC_BAD_REQUESTER 1
+#define RC_NEGATIVE_KEY 2
+#define RC_OOM 3
+
+static PyObject *
+required_counts(PyObject *module, PyObject *args)
+{
+    PyObject *blocks_obj;
+    Py_buffer requesters, accesses;
+    int n_procs;
+    if (!PyArg_ParseTuple(args, "Oy*y*i", &blocks_obj, &requesters,
+                          &accesses, &n_procs))
+        return NULL;
+    Py_buffer blocks;
+    PyObject *result = NULL, *out = NULL;
+    if (get_buffer8(blocks_obj, &blocks, PyBUF_SIMPLE, 'q', "blocks") < 0) {
+        PyBuffer_Release(&requesters);
+        PyBuffer_Release(&accesses);
+        return NULL;
+    }
+    const Py_ssize_t n = blocks.len / (Py_ssize_t)sizeof(int64_t);
+    if (requesters.len != n * (Py_ssize_t)sizeof(int32_t)
+        || accesses.len != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "required_counts: blocks (int64), requesters "
+                        "(int32) and accesses (int8) must have equal "
+                        "lengths");
+        goto done;
+    }
+    if (n_procs <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "required_counts: n_procs must be positive");
+        goto done;
+    }
+    if (n_procs > 128) {
+        result = Py_None; /* envelope: two sharer lanes */
+        Py_INCREF(result);
+        goto done;
+    }
+    out = PyBytes_FromStringAndSize(NULL, n * 8);
+    if (!out)
+        goto done;
+    int64_t *counts = (int64_t *)PyBytes_AS_STRING(out);
+    const int64_t *keys = blocks.buf;
+    const int32_t *req = requesters.buf;
+    const int8_t *acc = accesses.buf;
+    int fault = 0;
+
+    Py_BEGIN_ALLOW_THREADS
+    I64Map mosi;
+    if (map_init(&mosi, n / 4 + 16) < 0) {
+        fault = RC_OOM;
+    }
+    else {
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const int32_t r = req[i];
+            const int64_t key = keys[i];
+            if (r < 0 || r >= n_procs) {
+                fault = RC_BAD_REQUESTER;
+                break;
+            }
+            if (key < 0) {
+                fault = RC_NEGATIVE_KEY;
+                break;
+            }
+            int64_t owner = -1;
+            uint64_t lo = 0, hi = 0;
+            Py_ssize_t slot = map_find(&mosi, key);
+            if (slot >= 0) {
+                owner = mosi.v1[slot];
+                lo = (uint64_t)mosi.v2[slot];
+                hi = (uint64_t)mosi.v3[slot];
+            }
+            uint64_t req_lo = 0, req_hi = 0;
+            if (owner >= 0 && owner != r)
+                bit128_set(&req_lo, &req_hi, (int)owner);
+            uint64_t me_lo = 0, me_hi = 0;
+            bit128_set(&me_lo, &me_hi, r);
+            int rc = 0;
+            if (acc[i]) {
+                req_lo |= lo & ~me_lo;
+                req_hi |= hi & ~me_hi;
+                rc = map_put3(&mosi, key, r, 0, 0);
+            }
+            else if (owner != r) {
+                rc = map_put3(&mosi, key, owner, (int64_t)(lo | me_lo),
+                              (int64_t)(hi | me_hi));
+            }
+            if (rc < 0) {
+                fault = RC_OOM;
+                break;
+            }
+            counts[i] = popcount128(req_lo, req_hi);
+        }
+        map_free(&mosi);
+    }
+    Py_END_ALLOW_THREADS
+
+    if (fault == RC_BAD_REQUESTER) {
+        PyErr_Format(PyExc_ValueError,
+                     "required_counts: requester outside [0, %d)", n_procs);
+        Py_DECREF(out);
+    }
+    else if (fault == RC_NEGATIVE_KEY) {
+        Py_DECREF(out);
+        result = Py_None; /* envelope: map keys are non-negative */
+        Py_INCREF(result);
+    }
+    else if (fault == RC_OOM) {
+        Py_DECREF(out);
+        PyErr_NoMemory();
+    }
+    else {
+        result = out;
+    }
+done:
+    PyBuffer_Release(&blocks);
+    PyBuffer_Release(&requesters);
+    PyBuffer_Release(&accesses);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
+    {"required_counts", required_counts, METH_VARARGS,
+     "Per-record count of other processors a MOSI request must reach."},
     {"timing_pass", timing_pass, METH_VARARGS,
      "Crossbar + simple-processor timing pass over outcome columns."},
     {"timing_pass_detailed", timing_pass_detailed, METH_VARARGS,
@@ -3097,7 +3770,8 @@ PyInit__native(void)
     PyObject *m = PyModule_Create(&native_module);
     if (!m)
         return NULL;
-    if (PyType_Ready(&NCollectorType) < 0 || PyType_Ready(&NReplayType) < 0) {
+    if (PyType_Ready(&NCollectorType) < 0 || PyType_Ready(&NReplayType) < 0
+        || PyType_Ready(&NGeneratorType) < 0) {
         Py_DECREF(m);
         return NULL;
     }
@@ -3115,7 +3789,14 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 6) < 0
+    Py_INCREF(&NGeneratorType);
+    if (PyModule_AddObject(m, "Generator", (PyObject *)&NGeneratorType)
+        < 0) {
+        Py_DECREF(&NGeneratorType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 7) < 0
         || PyModule_AddIntConstant(m, "POLICY_GROUP", POLICY_GROUP) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER", POLICY_OWNER) < 0
         || PyModule_AddIntConstant(m, "POLICY_BIFS", POLICY_BIFS) < 0

@@ -10,18 +10,21 @@ hex-float timing goldens).  For replay, :func:`replay` is the single
 statement of that envelope: which protocols and predictor lists have
 a native twin, and which geometries the twin accepts.
 
-Mutable state lives in two session types, modelled the same way: a
-``_CollectorSession`` owns a collector's cache/MOSI state while chunks
-stream through it, and a ``_ReplaySession`` owns a protocol's MOSI map
-and predictor tables across its replay calls.  Each adopts the Python
-state once (``load``), ships only columns per call, and writes the
-state back (``sync``) only when Python reads it — for a replay session
-that is never, in a sweep cell.
+Mutable state lives in three native objects: a ``_GeneratorSession``
+holds a reference source's sampler cursors, a ``_CollectorSession``
+owns a collector's cache/MOSI state and instruction counters while
+chunks stream through it, and a ``_ReplaySession`` owns a protocol's
+MOSI map and predictor tables across its replay calls.  The two
+sessions are modelled the same way: each adopts the Python state once
+(``load``; a fresh collector has none to adopt), ships only columns
+per call, and writes the state back (``sync``) only when Python reads
+it — which, in a sweep cell or a corpus collection, is never.
 
 Callers come through :mod:`repro.kernels` (``try_replay`` /
 ``try_timing_pass`` / ``try_timing_pass_detailed`` /
-``collector_session``), which has already established that the native
-tier is active.  Every decline is recorded via
+``collector_session`` / ``try_collect`` / ``generator`` /
+``try_required_counts``), which has already established that the
+native tier is active.  Every decline is recorded via
 :func:`repro.kernels.record_decline` and every session call's phase
 nanoseconds via :func:`repro.kernels.record_phases`, so sweeps can
 report where the native tier fell back and where its time went.
@@ -34,6 +37,7 @@ from array import array
 from typing import Optional
 
 from repro import kernels as _kernels
+from repro.cache.sets import SetAssociativeCache
 from repro.common import backend as _backend
 from repro.predictors.broadcast_if_shared import (
     _COUNTER_MAX as _BIFS_COUNTER_MAX,
@@ -46,6 +50,13 @@ from repro.predictors.sticky_spatial import StickySpatialPredictor
 from repro.protocols.directory import DirectoryProtocol
 from repro.protocols.multicast import MulticastSnoopingProtocol
 from repro.protocols.snooping import BroadcastSnoopingProtocol
+from repro.workloads.genchunks import (
+    ReferenceChunk,
+    _MigratorySampler,
+    _PrivateSampler,
+    _ProducerConsumerSampler,
+    _ReadMostlySampler,
+)
 
 #: Replay destination sets travel in two uint64 lanes.
 _MAX_NATIVE_NODES = 128
@@ -535,47 +546,140 @@ def timing_pass_detailed(simulator, measured, out) -> bool:
 
 
 # ----------------------------------------------------------------------
+# generator: ChunkedReferenceSource.chunks
+# ----------------------------------------------------------------------
+
+#: ``_native.c`` region kinds (GEN_* there), by sampler class.
+_GENERATOR_KINDS = {
+    _PrivateSampler: 0,
+    _MigratorySampler: 1,
+    _ProducerConsumerSampler: 2,
+    _ReadMostlySampler: 3,
+}
+
+#: Zipf table modes (ZIPF_* there): ``u53 % n``, table search, block 0.
+_ZIPF_UNIFORM, _ZIPF_TABLE, _ZIPF_ZERO = 0, 1, 2
+
+_ZEROS = array("q", [0])
+
+
+def _as_int64(key: int) -> int:
+    """A 64-bit draw key as the int64 with the same bits."""
+    return key - (1 << 64) if key >= 1 << 63 else key
+
+
+class _GeneratorSession:
+    """A source's native generator: samplers' state lives in C."""
+
+    __slots__ = ("_native",)
+
+    def __init__(self, native_generator):
+        self._native = native_generator
+
+    def chunk(self, start: int, m: int) -> ReferenceChunk:
+        """Positions ``[start, start + m)`` as five int64 columns."""
+        columns = [_ZEROS * m for _ in range(5)]
+        self._native.fill(start, *columns)
+        return ReferenceChunk(*columns)
+
+
+def _region_record(sampler, zipf, zipf_at):
+    """One region's int64 constants, in ``_native.c``'s RF_* order."""
+    mode, offset, length = _ZIPF_UNIFORM, 0, 0
+    table = sampler.zipf
+    if table is not None and not table.uniform:
+        thresholds = table._thresholds
+        if thresholds:
+            mode, length = _ZIPF_TABLE, len(thresholds)
+            offset = zipf_at.get(id(table))
+            if offset is None:
+                offset = zipf_at[id(table)] = len(zipf)
+                zipf.extend(thresholds)
+        else:
+            mode = _ZIPF_ZERO
+    return [
+        _GENERATOR_KINDS[type(sampler)],
+        sampler.base,
+        sampler.n_blocks,
+        sampler.block_size,
+        *(_as_int64(key) for key in sampler.keys),
+        getattr(sampler, "t_stream", 0),
+        getattr(sampler, "t_write", 0),
+        mode,
+        offset,
+        length,
+        getattr(sampler, "producer", -1),
+        *(sampler._pc_site(site) for site in range(8)),
+    ]
+
+
+def make_generator(source) -> Optional[_GeneratorSession]:
+    """A native generator for ``source``, or None when ineligible.
+
+    Packs the source's Python-built tables (per-node selection
+    thresholds, Zipf thresholds, region constants) into flat int64 /
+    float64 buffers; the generator copies them and owns every
+    sampler's cursor state from then on.
+    """
+    n = source.n_processors
+    offsets = array("q", [0])
+    thresholds = array("d")
+    region_ids = array("q")
+    for node_thresholds, node_ids in zip(
+        source.node_thresholds, source.node_region_ids
+    ):
+        thresholds.extend(node_thresholds)
+        region_ids.extend(node_ids)
+        offsets.append(len(thresholds))
+    regions = array("q")
+    zipf = array("d")
+    zipf_at = {}
+    consumer_pcs = array("q", [-1]) * (len(source.samplers) * n)
+    try:
+        for index, sampler in enumerate(source.samplers):
+            regions.extend(_region_record(sampler, zipf, zipf_at))
+            if isinstance(sampler, _ProducerConsumerSampler):
+                for node, pc in sampler.consumer_pc.items():
+                    if 0 <= node < n:
+                        consumer_pcs[index * n + node] = pc
+    except OverflowError:  # a constant beyond int64
+        _kernels.record_decline("generator", "overflow")
+        return None
+    try:
+        native_generator = _ext().Generator(
+            n, source.key_select, source.key_gap, source.gap_lo,
+            source.gap_span, offsets, thresholds, region_ids, regions,
+            zipf, consumer_pcs,
+        )
+    except (ValueError, OverflowError):  # outside the native envelope
+        _kernels.record_decline("generator", "envelope")
+        return None
+    return _GeneratorSession(native_generator)
+
+
+# ----------------------------------------------------------------------
 # collector: TraceCollector.process_chunk
 # ----------------------------------------------------------------------
 
 class _CollectorSession:
-    """Owns the cache/MOSI state natively while chunks stream through.
+    """Owns a collector's cache/MOSI state and instruction counters.
 
-    ``process_chunk`` lazily adopts (``load``) the Python-side state on
-    first use after a flush; ``flush`` writes it back (``sync``) so the
-    record-level APIs and inspection properties observe exactly what
-    the Python loop would have left behind.
+    Opened from the config geometry with empty state when the
+    collector is built (or adopting the Python state, ``load``, when
+    it reopens after a read); the Python structures are built and
+    synced only by :meth:`materialise`.  It holds no reference to its
+    collector, which is passed in per call.
     """
 
-    __slots__ = ("_collector", "_native", "_l1", "_l2", "_loaded")
+    __slots__ = ("_native",)
 
-    def __init__(self, collector, native_collector):
-        self._collector = collector
+    def __init__(self, native_collector):
         self._native = native_collector
-        hierarchies = collector._hierarchies
-        self._l1 = [h.l1.raw_sets for h in hierarchies]
-        self._l2 = [h.l2.raw_sets for h in hierarchies]
-        self._loaded = False
 
-    def _state_args(self):
-        collector = self._collector
-        return (
-            self._l1,
-            self._l2,
-            collector._global._blocks,
-            collector._instructions,
-            collector._instructions_at_last_miss,
-        )
-
-    def process_chunk(self, chunk) -> Optional[int]:
+    def process_chunk(self, collector, chunk) -> Optional[int]:
         """Filter one chunk natively; None -> caller uses the Python loop
-        (state already flushed back)."""
-        if not self._loaded:
-            if not self._native.load(*self._state_args()):
-                _kernels.record_decline("collector", "overflow")
-                return None  # state outside the envelope
-            self._loaded = True
-        addresses = chunk.addresses_np
+        (state already materialised)."""
+        addresses = getattr(chunk, "addresses_np", None)
         if addresses is None:
             addresses = chunk.addresses
         result = self._native.process_chunk(
@@ -583,11 +687,10 @@ class _CollectorSession:
             chunk.instructions,
         )
         if result is None:
-            self.flush()
+            self.materialise(collector)
             _kernels.record_decline("collector", "overflow")
             return None
         n_miss, addr_b, pc_b, node_b, code_b, gap_b = result
-        collector = self._collector
         collector._references += len(chunk.nodes)
         if n_miss:
             blocks = array("q")
@@ -603,15 +706,35 @@ class _CollectorSession:
             collector._trace.extend_fields(blocks, pcs, nodes, codes, gaps)
         return n_miss
 
-    def flush(self) -> None:
-        """Sync native state back into the Python-side structures."""
-        if self._loaded:
-            self._native.sync(*self._state_args())
-            self._loaded = False
+    def instructions(self):
+        """Per-node executed instructions, read without a sync."""
+        return dict(enumerate(self._native.instructions()))
+
+    def materialise(self, collector) -> None:
+        """Build (if absent) and sync the collector's Python state, then
+        detach: the Python structures are authoritative again."""
+        if collector._hierarchies is None:
+            collector._build_state()
+        self._native.sync(*_collector_state(collector))
+        collector._session = None
+
+
+def _collector_state(collector):
+    return (
+        [h.l1.raw_sets for h in collector._hierarchies],
+        [h.l2.raw_sets for h in collector._hierarchies],
+        collector._global._blocks,
+        collector._instructions,
+        collector._instructions_at_last_miss,
+    )
 
 
 def make_collector_session(collector) -> Optional[_CollectorSession]:
-    """Build a native collector session, or None when ineligible."""
+    """A native collector session, or None when ineligible.
+
+    The session starts from the collector's Python state when it has
+    one, else empty (a fresh collector builds no Python state).
+    """
     config = collector._config
     n = config.n_processors
     block_size = config.block_size
@@ -620,22 +743,48 @@ def make_collector_session(collector) -> Optional[_CollectorSession]:
         or n > 62
         or block_size <= 0
         or block_size & (block_size - 1)
-        or not collector._hierarchies
     ):
         _kernels.record_decline("collector", "envelope")
         return None
-    h0 = collector._hierarchies[0]
     try:
         native_collector = _ext().Collector(
             n,
             ~(block_size - 1),
             block_size.bit_length() - 1,
-            h0.l1.n_sets,
-            h0.l1.associativity,
-            h0.l2.n_sets,
-            h0.l2.associativity,
+            SetAssociativeCache.set_count(
+                config.l1d_size, config.l1d_assoc, block_size
+            ),
+            config.l1d_assoc,
+            SetAssociativeCache.set_count(
+                config.l2_size, config.l2_assoc, block_size
+            ),
+            config.l2_assoc,
         )
     except ValueError:  # geometry outside the native envelope
         _kernels.record_decline("collector", "envelope")
         return None
-    return _CollectorSession(collector, native_collector)
+    if collector._hierarchies is not None and not native_collector.load(
+        *_collector_state(collector)
+    ):
+        _kernels.record_decline("collector", "overflow")
+        return None  # Python state outside the envelope
+    return _CollectorSession(native_collector)
+
+
+# ----------------------------------------------------------------------
+# sharing: the MOSI replay behind Figures 2 and 4
+# ----------------------------------------------------------------------
+
+def required_counts(trace, block_size: int) -> Optional[bytes]:
+    """Per-record required-recipient counts (int64 bytes), or None
+    when the trace is outside the envelope (>128 nodes, negative
+    block keys)."""
+    counts = _ext().required_counts(
+        trace.block_keys(block_size),
+        trace.requesters,
+        trace.accesses,
+        trace.n_processors,
+    )
+    if counts is None:
+        _kernels.record_decline("sharing", "envelope")
+    return counts

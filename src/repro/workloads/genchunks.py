@@ -28,10 +28,25 @@ stream label, counter)``:
   only by per-region access counters, so the chunk size never affects
   the generated stream.
 
-``REPRO_PURE_PYTHON=1`` (or
-:func:`repro.trace.columns.set_backend`) selects the backend at call
-time; the generation-equivalence suite asserts byte-identical traces
-across backends for every workload in the registry.
+Three tiers produce the stream, identical record for record:
+
+- ``sample_py`` / :meth:`ChunkedReferenceSource._chunk_py` — the pure
+  Python oracle, one record at a time;
+- ``sample_np`` / ``_chunk_np`` — the numpy fallback, vectorized per
+  region;
+- native — ``_native.Generator`` (:mod:`repro.kernels`), which walks
+  positions in order and replays each region's ``sample_py`` logic in
+  C, filling five int64 buffers per chunk.  It receives the Zipf and
+  region-selection tables as the same Python-built float64 values the
+  other tiers search, so no libm result can differ.
+
+The native tier runs whenever the unified backend is ``native``
+(:mod:`repro.common.backend`) and the model fits its envelope; one
+source stays on the tier it started with.  Otherwise numpy generates
+when it imports and pure Python when it does not
+(``REPRO_PURE_PYTHON=1`` or :func:`repro.trace.columns.set_backend`).
+The generation-equivalence suite asserts byte-identical chunks across
+all three for every workload in the registry.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ from bisect import bisect_right
 from math import log
 from typing import Dict, Iterable, Iterator, List, Tuple
 
+from repro import kernels
 from repro.common.rng import derive_seed
 from repro.trace import columns as _columns
 from repro.workloads.patterns import _PC_STRIDE
@@ -98,10 +114,12 @@ class _ZipfThresholds:
 
     Reproduces the distribution of :func:`repro.common.rng.zipf_rank`
     (the same closed-form approximate inversion) as a monotone
-    threshold table over the uniform draw, so both backends sample by
+    threshold table over the uniform draw, so every tier samples by
     table search instead of transcendental math — table values are
     computed once in pure Python floats and shared, which is what
-    makes numpy and pure-Python samples bit-identical.
+    makes numpy, pure-Python and native samples bit-identical.  A
+    source builds one table per distinct ``(n, exponent)``
+    (:meth:`ChunkedReferenceSource._zipf`).
     """
 
     __slots__ = ("n", "uniform", "_thresholds", "_thresholds_np")
@@ -151,13 +169,13 @@ class _ZipfThresholds:
 class ReferenceChunk:
     """One chunk of generated references, as parallel columns.
 
-    All columns are plain Python lists of ints (``writes`` holds
-    0/1), identical across backends; ``addresses_np`` additionally
-    carries the numpy address column when the numpy backend produced
-    the chunk, so downstream consumers (the collector's set-index
-    precompute) can stay vectorized.  The boxed ``addresses`` list is
-    materialized lazily in that case — the numpy collector path never
-    reads it, so the boxing cost is skipped on the hot path.
+    Columns hold ints (``writes`` holds 0/1) with identical values
+    across tiers.  The pure and numpy tiers yield plain lists; the
+    numpy tier additionally carries the numpy address column as
+    ``addresses_np`` and materializes the boxed ``addresses`` list
+    lazily, so the set-index precompute can stay vectorized.  The
+    native tier yields five stdlib ``array('q')`` int64 buffers, which
+    the native collector reads in place.
     """
 
     __slots__ = (
@@ -215,6 +233,7 @@ class _Sampler:
     """Base: draw-key management and the per-region access counter."""
 
     def __init__(self, region, keys: Tuple[int, int, int, int]):
+        self.zipf = None
         self.base = region.base
         self.n_blocks = region.n_blocks
         self.block_size = region.block_size
@@ -235,11 +254,11 @@ class _Sampler:
 class _PrivateSampler(_Sampler):
     """Streaming-or-Zipf private data (see ``PrivateRegion``)."""
 
-    def __init__(self, region, keys, params):
+    def __init__(self, region, keys, params, zipf):
         super().__init__(region, keys)
         self.t_stream = _fraction_threshold(params["streaming_fraction"])
         self.t_write = _fraction_threshold(params["write_fraction"])
-        self.zipf = _ZipfThresholds(self.n_blocks, params["exponent"])
+        self.zipf = zipf(self.n_blocks, params["exponent"])
         self.cursor = 0
 
     def sample_py(self, nodes, m):
@@ -305,9 +324,9 @@ class _MigratorySampler(_Sampler):
     which vectorizes as run-relative parity.
     """
 
-    def __init__(self, region, keys, params):
+    def __init__(self, region, keys, params, zipf):
         super().__init__(region, keys)
-        self.zipf = _ZipfThresholds(self.n_blocks, params["exponent"])
+        self.zipf = zipf(self.n_blocks, params["exponent"])
         self.last_node = -1
         self.last_was_write = False
         self.last_addr = 0
@@ -380,7 +399,7 @@ class _ProducerConsumerSampler(_Sampler):
     and cheap because no random draws are consumed.
     """
 
-    def __init__(self, region, keys, params):
+    def __init__(self, region, keys, params, zipf):
         super().__init__(region, keys)
         self.producer = params["producer"]
         consumers = params["consumers"]
@@ -429,10 +448,10 @@ class _ProducerConsumerSampler(_Sampler):
 class _ReadMostlySampler(_Sampler):
     """Widely shared hot-block data with rare writes."""
 
-    def __init__(self, region, keys, params):
+    def __init__(self, region, keys, params, zipf):
         super().__init__(region, keys)
         self.t_write = _fraction_threshold(params["write_fraction"])
-        self.zipf = _ZipfThresholds(self.n_blocks, params["exponent"])
+        self.zipf = zipf(self.n_blocks, params["exponent"])
 
     def sample_py(self, nodes, m):
         j0 = self._advance(m)
@@ -497,6 +516,7 @@ class ChunkedReferenceSource:
         self.key_gap = derive_seed(seed, name, "chunks", "gap")
 
         regions = [region for region, _ in model.regions]
+        self._zipf_tables: Dict[Tuple[int, float], _ZipfThresholds] = {}
         self.samplers = []
         for index, region in enumerate(regions):
             kind, params = region.batch_spec()
@@ -504,7 +524,9 @@ class ChunkedReferenceSource:
                 derive_seed(seed, name, "chunks", "region", index, lane)
                 for lane in range(4)
             )
-            self.samplers.append(_SAMPLERS[kind](region, keys, params))
+            self.samplers.append(
+                _SAMPLERS[kind](region, keys, params, self._zipf)
+            )
 
         # Per-node region-selection threshold tables (floats in [0, 1),
         # built once in pure Python so both backends share bits), plus
@@ -521,6 +543,14 @@ class ChunkedReferenceSource:
         self._node_thresholds_np = None
         self._node_region_ids_np = None
 
+    def _zipf(self, n: int, exponent: float) -> _ZipfThresholds:
+        """The source's one Zipf table for ``(n, exponent)``."""
+        table = self._zipf_tables.get((n, exponent))
+        if table is None:
+            table = _ZipfThresholds(n, exponent)
+            self._zipf_tables[(n, exponent)] = table
+        return table
+
     # ------------------------------------------------------------------
     def chunks(
         self,
@@ -532,14 +562,18 @@ class ChunkedReferenceSource:
             raise ValueError("n_references must be non-negative")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        generator = kernels.generator(self) if n_references else None
         start = 0
         while start < n_references:
             size = min(chunk_size, n_references - start)
-            np_ = _columns.numpy_module()
-            if np_ is not None:
-                yield self._chunk_np(np_, start, size)
+            if generator is not None:
+                yield generator.chunk(start, size)
             else:
-                yield self._chunk_py(start, size)
+                np_ = _columns.numpy_module()
+                if np_ is not None:
+                    yield self._chunk_np(np_, start, size)
+                else:
+                    yield self._chunk_py(start, size)
             start += size
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ suite green on the no-compiler CI leg.
 import pytest
 
 from repro import kernels
+from repro.cache.pipeline import TraceCollector
 from repro.common import backend as _backend
 from repro.common.params import PredictorConfig, SystemConfig
 from repro.evaluation.runtime import make_protocol
@@ -74,9 +75,9 @@ def reference():
     """Ground truth computed under the pure backend, numpy off."""
     trace_columns.set_backend("python")
     try:
-        trace = create_workload(WORKLOAD, seed=13).collect(
-            N_REFERENCES
-        ).trace
+        collector, result = _collect()
+        trace = result.trace
+        collector_state = _collector_end_state(collector, result)
         runs = {}
         for label in PROTOCOL_LABELS:
             config = SystemConfig()
@@ -104,12 +105,42 @@ def reference():
             )
     finally:
         trace_columns.set_backend("auto")
-    return {"trace": trace, "runs": runs}
+    return {"trace": trace, "collector": collector_state, "runs": runs}
+
+
+def _collect():
+    model = create_workload(WORKLOAD, seed=13)
+    collector = TraceCollector(model.scaled_config(), name=model.name)
+    return collector, collector.run_chunks(
+        model.reference_chunks(N_REFERENCES)
+    )
+
+
+def _collector_end_state(collector, result):
+    """Every cache set in LRU order, the MOSI map and the counters —
+    read through the public readers, which materialise a session."""
+    sets = [
+        [list(s) for s in hierarchy.l1.raw_sets + hierarchy.l2.raw_sets]
+        for hierarchy in map(
+            collector.hierarchy,
+            range(collector._config.n_processors),
+        )
+    ]
+    state = collector.global_state
+    state.check_invariants()
+    return sets, dict(state._blocks), result.instructions, result.references
 
 
 def test_collector_kernel_conformance(unified_backend, reference):
-    """The chunk-collector kernel emits the identical miss trace."""
-    result = create_workload(WORKLOAD, seed=13).collect(N_REFERENCES)
+    """The chunk-collector kernel emits the identical miss trace and
+    leaves the identical cache, MOSI and counter state."""
+    collector, result = _collect()
+    if unified_backend == "native":
+        # result() read the counters from the session: nothing was
+        # materialised, not even the Python cache structures.
+        assert collector._session
+        assert collector._hierarchies is None
+        assert collector._global is None
     trace = result.trace
     expected = reference["trace"]
     assert list(trace._addresses) == list(expected._addresses)
@@ -117,6 +148,8 @@ def test_collector_kernel_conformance(unified_backend, reference):
     assert list(trace._requesters) == list(expected._requesters)
     assert list(trace._accesses) == list(expected._accesses)
     assert list(trace._instructions) == list(expected._instructions)
+    assert _collector_end_state(collector, result) == reference["collector"]
+    assert not collector._session
 
 
 @pytest.mark.parametrize("label", PROTOCOL_LABELS)

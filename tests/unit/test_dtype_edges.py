@@ -18,6 +18,7 @@ silently truncate:
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -410,3 +411,176 @@ def test_native_replay_rejects_out_of_range_requesters(label):
         completed.returncode, completed.stderr[-2000:]
     )
     assert "raised ValueError" in completed.stdout
+
+
+# ----------------------------------------------------------------------
+# Hostile input to the cold-path kernels: the native collector's chunk
+# columns, the generator's buffers and tables, required_counts.  Each
+# case raises ValueError (after the GIL is back) and leaves the native
+# state as it was.
+# ----------------------------------------------------------------------
+
+def _native_module():
+    _require_native()
+    from repro.common import backend
+
+    return backend.native_module()
+
+
+def _chunk_columns(seed, rows=300, n_procs=4):
+    rng = random.Random(seed)
+    return [
+        array("q", [i % n_procs for i in range(rows)]),
+        array("q", [rng.randrange(96) * 64 + 3 for _ in range(rows)]),
+        array("q", [rng.randrange(8) * 4 for _ in range(rows)]),
+        array("q", [rng.randrange(2) for _ in range(rows)]),
+        array("q", [rng.randrange(1, 9) for _ in range(rows)]),
+    ]
+
+
+def _with(columns, index, column):
+    columns = list(columns)
+    columns[index] = column
+    return columns
+
+
+def _node_at(columns, value):
+    nodes = columns[0][:]
+    nodes[7] = value
+    return _with(columns, 0, nodes)
+
+
+HOSTILE_CHUNKS = {
+    "int32 nodes": lambda c: _with(c, 0, array("i", c[0])),
+    "float64 addresses": lambda c: _with(c, 1, array("d", c[1])),
+    "bytes pcs": lambda c: _with(c, 2, c[2].tobytes()),
+    "short writes buffer": lambda c: _with(c, 3, c[3][:-1]),
+    "long gaps list": lambda c: _with(c, 4, c[4].tolist() + [1]),
+    "short nodes list": lambda c: _with(c, 0, c[0].tolist()[:-1]),
+    "negative node": lambda c: _node_at(c, -1),
+    "node past n_procs": lambda c: _node_at(c, 4),
+    "negative node in a list": lambda c: _with(
+        c, 0, _node_at(c, -3)[0].tolist()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CHUNKS))
+def test_native_collector_rejects_hostile_chunks(case):
+    native = _native_module()
+
+    def make():
+        return native.Collector(4, ~63, 6, 4, 2, 8, 4)
+
+    attacked, clean = make(), make()
+    warm = _chunk_columns(1)
+    assert attacked.process_chunk(*warm) == clean.process_chunk(*warm)
+    with pytest.raises(ValueError):
+        attacked.process_chunk(*HOSTILE_CHUNKS[case](_chunk_columns(2)))
+    probe = _chunk_columns(3)
+    assert attacked.process_chunk(*probe) == clean.process_chunk(*probe)
+    assert attacked.instructions() == clean.instructions()
+
+
+def _generator_args(**override):
+    """A two-node producer/consumer model, packed the way
+    ``repro.kernels.native.make_generator`` packs one."""
+    producer = override.pop("producer", 0)
+    region = [2, 4096, 8, 64, 11, 12, 13, 14, 0, 0, 0, 0, 0, producer,
+              *range(100, 108)]
+    args = dict(
+        n_procs=2, key_select=5, key_gap=6, gap_lo=1, gap_span=3,
+        offsets=array("q", [0, 0, 0]), thresholds=array("d"),
+        region_ids=array("q", [0, 0]), regions=array("q", region),
+        zipf=array("d"), consumer_pcs=array("q", [-1, 200]),
+    )
+    args.update(override)
+    return tuple(args.values())
+
+
+def _fill(generator, start, rows=50):
+    columns = [array("q", [0]) * rows for _ in range(5)]
+    generator.fill(start, *columns)
+    return [c.tolist() for c in columns]
+
+
+def test_native_generator_fills_the_packed_model():
+    native = _native_module()
+    nodes, addresses, pcs, writes, gaps = _fill(
+        native.Generator(*_generator_args()), 0, rows=6
+    )
+    assert nodes == [0, 1, 0, 1, 0, 1]
+    assert writes == [1, 0, 1, 0, 1, 0]
+    # The consumer trails the producer's cursor, never passing it.
+    assert addresses == [4096, 4096, 4160, 4160, 4224, 4224]
+    assert pcs == [100, 200, 100, 200, 100, 200]
+    assert all(1 <= gap <= 3 for gap in gaps)
+
+
+HOSTILE_GENERATORS = {
+    "negative producer": dict(producer=-1),
+    "producer past n_procs": dict(producer=2),
+    "region id past the model": dict(region_ids=array("q", [0, 1])),
+    "negative region id": dict(region_ids=array("q", [0, -1])),
+    "node not a member": dict(consumer_pcs=array("q", [-1, -1])),
+    "int32 regions": dict(regions=array(
+        "i", [2, 4096, 8, 64, 11, 12, 13, 14, 0, 0, 0, 0, 0, 0,
+              *range(100, 108)])),
+    "int64 thresholds": dict(thresholds=array("q")),
+    "short consumer table": dict(consumer_pcs=array("q", [-1])),
+    "offsets past the tables": dict(offsets=array("q", [0, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_GENERATORS))
+def test_native_generator_rejects_hostile_tables(case):
+    native = _native_module()
+    with pytest.raises(ValueError):
+        native.Generator(*_generator_args(**HOSTILE_GENERATORS[case]))
+
+
+HOSTILE_FILLS = {
+    "int32 nodes": lambda c: _with(c, 0, array("i", [0]) * len(c[0])),
+    "float64 addresses": lambda c: _with(
+        c, 1, array("d", [0.0]) * len(c[1])),
+    "read-only pcs": lambda c: _with(c, 2, bytes(8 * len(c[2]))),
+    "short writes": lambda c: _with(c, 3, c[3][:-1]),
+    "a list": lambda c: _with(c, 4, c[4].tolist()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILLS))
+def test_native_generator_rejects_hostile_buffers(case):
+    native = _native_module()
+    attacked = native.Generator(*_generator_args())
+    clean = native.Generator(*_generator_args())
+    assert _fill(attacked, 0) == _fill(clean, 0)
+    columns = [array("q", [0]) * 50 for _ in range(5)]
+    with pytest.raises(ValueError):
+        attacked.fill(50, *HOSTILE_FILLS[case](columns))
+    assert _fill(attacked, 50) == _fill(clean, 50)
+
+
+HOSTILE_REPLAYS = {
+    "int32 blocks": lambda b, r, a: (array("i", b), r, a),
+    "int64 requesters": lambda b, r, a: (b, array("q", r), a),
+    "short accesses": lambda b, r, a: (b, r, a[:-1]),
+    "negative requester": lambda b, r, a: (
+        b, array("i", [-1, *r[1:]]), a),
+    "requester past n_procs": lambda b, r, a: (
+        b, array("i", [*r[:-1], 4]), a),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_REPLAYS))
+def test_native_required_counts_rejects_hostile_columns(case):
+    native = _native_module()
+    blocks = array("q", [64, 128, 64, 64])
+    requesters = array("i", [0, 1, 2, 3])
+    accesses = array("b", [0, 0, 1, 0])
+    assert array("q", native.required_counts(
+        blocks, requesters, accesses, 4
+    )).tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError):
+        native.required_counts(
+            *HOSTILE_REPLAYS[case](blocks, requesters, accesses), 4
+        )
